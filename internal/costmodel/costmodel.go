@@ -10,9 +10,9 @@
 //     distinct 32-byte sectors (DRAM transactions) and 128-byte lines
 //     (cache blocks) they touch;
 //   - a small set-associative L1/L2 hit model with deterministic LRU
-//     replacement, probed once per sector transaction at line
-//     granularity (the L1 is flushed per kernel launch, the L2 persists
-//     across launches);
+//     replacement, serving each sector transaction at line granularity
+//     (the L1 is flushed per kernel launch, the L2 persists across
+//     launches);
 //   - TLB-reach estimation from allocation layout (pages spanned vs the
 //     reach of one TLB fill).
 //
@@ -26,6 +26,11 @@
 // trace packages (addresses are plain uint64), which is what lets the
 // device's hot access path embed a Tracker without an import cycle.
 package costmodel
+
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Spec parameterizes the cost model for one device. The zero value is
 // not usable; obtain one from SpecFor so every field is populated (the
@@ -204,162 +209,241 @@ type KernelCost struct {
 }
 
 // Cache is a small set-associative cache with deterministic LRU
-// replacement, tracked at line granularity.
+// replacement, tracked at line granularity. Its set count is a power of
+// two, so a line's set is its low bits.
 type Cache struct {
-	sets, ways int
-	tags       []uint64 // sets*ways, line IDs (+1 so 0 means empty)
-	stamps     []uint64 // LRU clocks, parallel to tags
-	tick       uint64
+	mask  uint64 // sets-1
+	nways int
+	ways  []way // sets*nways, set-major
+	tick  uint64
 }
 
-// NewCache builds an empty cache.
+// way is one cache slot: a line ID (+1 so 0 means empty) and its LRU
+// clock, side by side so a probe reads one contiguous set.
+type way struct{ tag, stamp uint64 }
+
+// NewCache builds an empty cache. A set count below 1 means one set; any
+// other set count must be a power of two, or NewCache panics.
 func NewCache(sets, ways int) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
+	if !pow2(uint64(sets)) {
+		panic(fmt.Sprintf("costmodel: cache set count %d is not a power of two", sets))
+	}
 	if ways < 1 {
 		ways = 1
 	}
-	return &Cache{sets: sets, ways: ways, tags: make([]uint64, sets*ways), stamps: make([]uint64, sets*ways)}
+	return &Cache{mask: uint64(sets - 1), nways: ways, ways: make([]way, sets*ways)}
 }
 
 // Access probes the cache for a line ID, inserting it (with LRU
 // eviction) on a miss. Returns whether the probe hit.
 func (c *Cache) Access(line uint64) bool {
 	c.tick++
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
+	base := int(line&c.mask) * c.nways
+	set := c.ways[base : base+c.nways]
 	tag := line + 1
-	victim, oldest := base, ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == tag {
-			c.stamps[i] = c.tick
+	victim, oldest := 0, ^uint64(0)
+	for i := range set {
+		w := &set[i]
+		if w.tag == tag {
+			w.stamp = c.tick
 			return true
 		}
-		if c.tags[i] == 0 {
+		if w.tag == 0 {
 			// Prefer an empty way; stamp 0 is older than any real entry.
 			if oldest != 0 {
 				victim, oldest = i, 0
 			}
 			continue
 		}
-		if c.stamps[i] < oldest {
-			victim, oldest = i, c.stamps[i]
+		if w.stamp < oldest {
+			victim, oldest = i, w.stamp
 		}
 	}
-	c.tags[victim] = tag
-	c.stamps[victim] = c.tick
+	set[victim] = way{tag: tag, stamp: c.tick}
 	return false
 }
 
 // Reset empties the cache without reallocating.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-	}
+	clear(c.ways)
 	c.tick = 0
 }
+
+// shifts returns log2(SectorBytes), which maps an address to its sector
+// ID, and log2(LineBytes/SectorBytes), which maps a sector ID to its line
+// ID. It panics on a geometry those shifts cannot express: a sector or
+// line size that is not a power of two, lines smaller than sectors, or a
+// warp of fewer than one access. SpecFor never produces one.
+func (s Spec) shifts() (sector, line uint) {
+	switch {
+	case !pow2(s.SectorBytes):
+		panic(fmt.Sprintf("costmodel: SectorBytes %d is not a power of two", s.SectorBytes))
+	case !pow2(s.LineBytes):
+		panic(fmt.Sprintf("costmodel: LineBytes %d is not a power of two", s.LineBytes))
+	case s.LineBytes < s.SectorBytes:
+		panic(fmt.Sprintf("costmodel: LineBytes %d is smaller than SectorBytes %d", s.LineBytes, s.SectorBytes))
+	case s.WarpSize < 1:
+		panic(fmt.Sprintf("costmodel: WarpSize %d is below 1", s.WarpSize))
+	}
+	sector = uint(bits.TrailingZeros64(s.SectorBytes))
+	return sector, uint(bits.TrailingZeros64(s.LineBytes)) - sector
+}
+
+func pow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
 
 // entryState is the per-hit-table-entry coalescing state of one launch:
 // the current (unflushed) warp group plus the running cost totals.
 type entryState struct {
-	n       int // accesses in the current group
-	bytes   uint64
-	sectors [64]uint64 // distinct sector IDs in the current group
-	ns      int
-	cost    ObjectCost
+	n     int // accesses in the current group
+	ns    int // distinct sectors in the current group
+	bytes uint64
+	cost  ObjectCost
+	// sectors holds the group's first 64 distinct sector IDs in ascending
+	// order, so sectors[ns-1] is the highest.
+	sectors [64]uint64
 }
 
-// Tracker accumulates the cost model for one kernel launch. It is bound
-// to the launch's hit table (one entryState per entry), a fresh L1, and
-// the device's persistent L2.
+// Tracker accumulates the cost model for one kernel launch at a time. It
+// is bound to the launch's hit table (one entryState per entry), its own
+// L1, and the device's persistent L2. Reset readies it for the next
+// launch, so a device keeps a single Tracker.
 type Tracker struct {
-	spec    Spec
-	l1      *Cache
-	l2      *Cache
-	entries []entryState
-	touched []int32 // entry indices with accesses, in first-touch order
+	sectorShift uint   // address → sector ID
+	sectorMask  uint64 // SectorBytes-1: an address's offset in its sector
+	lineShift   uint   // sector ID → line ID
+	warp        int
+	entries     []entryState
+	touched     []int32 // entry indices with accesses, in first-touch order
+	l1, l2      *Cache
+	spec        Spec
 }
 
 // NewTracker prepares cost accounting for a launch over a hit table of
 // the given size. l2 is the device's persistent cache (may be shared
 // across launches; the tracker only runs on the launching goroutine).
-// The caller should reuse the returned tracker for exactly one launch.
+// NewTracker panics on a spec whose geometry the model cannot represent:
+// SectorBytes, LineBytes and L1Sets must be powers of two, LineBytes at
+// least SectorBytes, and WarpSize at least 1.
 func NewTracker(spec Spec, l2 *Cache, entries int) *Tracker {
+	sector, line := spec.shifts()
 	return &Tracker{
-		spec:    spec,
-		l1:      NewCache(spec.L1Sets, spec.L1Ways),
-		l2:      l2,
-		entries: make([]entryState, entries),
+		sectorShift: sector,
+		sectorMask:  spec.SectorBytes - 1,
+		lineShift:   line,
+		warp:        spec.WarpSize,
+		entries:     make([]entryState, entries),
+		l1:          NewCache(spec.L1Sets, spec.L1Ways),
+		l2:          l2,
+		spec:        spec,
 	}
 }
 
-// Access records one memory instruction against a hit-table entry. This
-// sits on the simulator's hot access path: constant work plus a scan of
-// the ≤64 distinct sectors of the current warp group.
+// Reset readies the tracker for a new launch over a hit table of the
+// given size, as a fresh NewTracker would, keeping its buffers: it clears
+// only the entries the previous launch touched and empties the L1. The
+// L2 keeps its contents.
+func (t *Tracker) Reset(entries int) {
+	for _, e := range t.touched {
+		t.entries[e] = entryState{}
+	}
+	t.touched = t.touched[:0]
+	if n := entries - cap(t.entries); n > 0 {
+		t.entries = append(t.entries[:cap(t.entries)], make([]entryState, n)...)
+	}
+	t.entries = t.entries[:entries]
+	t.l1.Reset()
+}
+
+// Access records one memory instruction against a hit-table entry. It
+// sits on the simulator's hot access path: an access that stays inside
+// its group's highest sector so far, as most unit-stride and broadcast
+// accesses do, adds no sector and costs a shift and a few compares and
+// adds. Any other access goes through addSectors.
 func (t *Tracker) Access(entry int, addr uint64, size uint32) {
 	st := &t.entries[entry]
-	if st.n == 0 && st.cost.Accesses == 0 {
-		t.touched = append(t.touched, int32(entry))
+	if st.ns == 0 || st.sectors[st.ns-1] != addr>>t.sectorShift || addr&t.sectorMask+uint64(size) > t.sectorMask+1 {
+		t.addSectors(st, entry, addr, size)
 	}
 	st.cost.Accesses++
 	st.n++
 	st.bytes += uint64(size)
-	first := addr / t.spec.SectorBytes
-	last := first
-	if size > 0 {
-		last = (addr + uint64(size) - 1) / t.spec.SectorBytes
-	}
-	for s := first; s <= last; s++ {
-		known := false
-		for i := 0; i < st.ns; i++ {
-			if st.sectors[i] == s {
-				known = true
-				break
-			}
-		}
-		if !known && st.ns < len(st.sectors) {
-			st.sectors[st.ns] = s
-			st.ns++
-		}
-	}
-	if st.n >= t.spec.WarpSize {
+	if st.n >= t.warp {
 		t.flush(st)
 	}
 }
 
+// addSectors records the entry's first touch of the launch and inserts
+// the sectors an access covers into its group's ascending sector set.
+// The highest sector is compared first, so a repeated or ascending
+// sector costs one compare; any other is inserted in place. A sector
+// already present is skipped, and a new one is dropped once the group
+// holds 64: the set keeps a group's first 64 distinct sectors.
+func (t *Tracker) addSectors(st *entryState, entry int, addr uint64, size uint32) {
+	if st.cost.Accesses == 0 {
+		t.touched = append(t.touched, int32(entry))
+	}
+	first := addr >> t.sectorShift
+	last := first
+	if size > 0 {
+		last = (addr + uint64(size) - 1) >> t.sectorShift
+	}
+	for s := first; s <= last && st.ns < len(st.sectors); s++ {
+		i := st.ns
+		if i == 0 || st.sectors[i-1] < s {
+			st.sectors[i] = s
+			st.ns++
+			continue
+		}
+		for i > 0 && st.sectors[i-1] > s {
+			i--
+		}
+		if i > 0 && st.sectors[i-1] == s {
+			continue
+		}
+		copy(st.sectors[i+1:st.ns+1], st.sectors[i:st.ns])
+		st.sectors[i] = s
+		st.ns++
+	}
+}
+
 // flush closes one warp group: counts its transactions against the
-// ideal, probes the hierarchy once per distinct sector (ascending, for
-// a deterministic replacement order), and resets the group.
+// ideal, serves each distinct sector from the hierarchy, and resets the
+// group. The sector set is already ascending, which fixes a
+// deterministic replacement order and puts a line's sectors next to each
+// other, so a 128-byte line's four sectors cost one fill plus three L1
+// hits, the hardware shape.
+//
+// Only the first sector of each line probes the L1; the line's other
+// sectors count as L1 hits without a probe. That is exact: the first
+// probe leaves the line in the L1, by a hit or a fill, and no other probe
+// falls between it and the line's next sectors, so their probes would
+// hit and only advance the line's LRU stamp by a tick. The LRU order
+// within every set, and so every later hit and eviction, is the same
+// either way.
 func (t *Tracker) flush(st *entryState) {
 	if st.n == 0 {
 		return
 	}
+	ns := uint64(st.ns)
 	st.cost.Warps++
-	st.cost.Transactions += uint64(st.ns)
-	ideal := (st.bytes + t.spec.SectorBytes - 1) / t.spec.SectorBytes
-	if ideal > uint64(st.ns) {
-		ideal = uint64(st.ns)
+	st.cost.Transactions += ns
+	ideal := (st.bytes + t.spec.SectorBytes - 1) >> t.sectorShift
+	if ideal > ns {
+		ideal = ns
 	}
-	if ideal == 0 && st.ns > 0 {
+	if ideal == 0 && ns > 0 {
 		ideal = 1
 	}
 	st.cost.IdealTransactions += ideal
 
-	// Ascending sector order keeps cache insertion deterministic and
-	// groups same-line sectors together, so a 128-byte line's four
-	// sectors cost one fill plus three L1 hits — the hardware shape.
-	sectors := st.sectors[:st.ns]
-	sortU64(sectors)
-	sectorsPerLine := t.spec.LineBytes / t.spec.SectorBytes
-	if sectorsPerLine == 0 {
-		sectorsPerLine = 1
-	}
-	for _, s := range sectors {
-		line := s / sectorsPerLine
+	var prev uint64
+	for i, s := range st.sectors[:st.ns] {
+		line := s >> t.lineShift
 		switch {
-		case t.l1.Access(line):
+		case i > 0 && line == prev, t.l1.Access(line):
 			st.cost.L1Hits++
 			st.cost.ModeledCycles += t.spec.L1HitCycles
 		case t.l2 != nil && t.l2.Access(line):
@@ -369,6 +453,7 @@ func (t *Tracker) flush(st *entryState) {
 			st.cost.MemTransactions++
 			st.cost.ModeledCycles += t.spec.DRAMCycles
 		}
+		prev = line
 	}
 	st.n = 0
 	st.bytes = 0
@@ -391,16 +476,6 @@ func (t *Tracker) Finish(base func(entry int) uint64) *KernelCost {
 		return nil
 	}
 	return kc
-}
-
-// sortU64 is an insertion sort for the ≤64-element sector scratch —
-// cheaper than sort.Slice at this size and dependency-free.
-func sortU64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 func sort32(v []int32) {

@@ -147,14 +147,14 @@ type Device struct {
 	pipe      *accessPipeline
 	pipeStats PipelineStats
 
-	// costSpec/costL2 carry the memory-hierarchy cost model when enabled:
-	// per-launch trackers derive from costSpec and share the persistent
-	// costL2. Both are only touched on the launching goroutine (kernel
-	// bodies always execute inline), which keeps the model byte-identical
-	// across the sequential/pipelined/streaming profiling modes.
-	costOn   bool
-	costSpec costmodel.Spec
-	costL2   *costmodel.Cache
+	// costTracker, when non-nil, runs the memory-hierarchy cost model
+	// configured by costSpec: one tracker, reset at every launch, holds
+	// the per-launch L1 and the persistent L2. It is only touched on the
+	// launching goroutine (kernel bodies always execute inline), which
+	// keeps the model byte-identical across the sequential/pipelined/
+	// streaming profiling modes.
+	costSpec    costmodel.Spec
+	costTracker *costmodel.Tracker
 }
 
 type seqKey struct {
@@ -232,25 +232,26 @@ func (d *Device) SetInstrumentFilter(f func(kernel string, launch uint64) bool) 
 // Kernel records gain a Cost field; the simulated clock is unchanged (the
 // model is an analysis overlay, not a timing change). A zero-valued spec
 // derives the defaults for this device via costmodel.SpecFor.
+//
+// SetCostModel panics, leaving the device unchanged, on a spec whose
+// geometry the model cannot represent exactly: SectorBytes, LineBytes,
+// L1Sets and L2Sets must be powers of two, LineBytes at least
+// SectorBytes, and WarpSize at least 1.
 func (d *Device) SetCostModel(spec costmodel.Spec) {
 	if spec.SectorBytes == 0 {
 		spec = costmodel.SpecFor(d.spec.Name, d.spec.GlobalLatency, d.spec.CopyBytesPerCycle,
 			d.spec.MallocCycles, d.spec.FreeCycles)
 	}
-	d.costOn = true
+	d.costTracker = costmodel.NewTracker(spec, costmodel.NewCache(spec.L2Sets, spec.L2Ways), 0)
 	d.costSpec = spec
-	d.costL2 = costmodel.NewCache(spec.L2Sets, spec.L2Ways)
 }
 
 // DisableCostModel turns the cost model off for subsequent launches.
-func (d *Device) DisableCostModel() {
-	d.costOn = false
-	d.costL2 = nil
-}
+func (d *Device) DisableCostModel() { d.costTracker = nil }
 
 // CostModelSpec returns the active cost-model parameters and whether the
 // model is enabled.
-func (d *Device) CostModelSpec() (costmodel.Spec, bool) { return d.costSpec, d.costOn }
+func (d *Device) CostModelSpec() (costmodel.Spec, bool) { return d.costSpec, d.costTracker != nil }
 
 // SetLiveRangesProvider overrides the source of the live-object table used
 // by the kernel hit-flag scheme. By default the allocator's live blocks are

@@ -3,7 +3,6 @@ package gpu
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 
 	"drgpum/internal/costmodel"
 )
@@ -54,8 +53,9 @@ type ExecContext struct {
 
 	// snapshot of the memory map at launch time, sorted by address.
 	table []hitEntry
-	// addrIndex maps a block base address to its table row, so the common
-	// case (repeated access to the same object) avoids re-searching.
+	// lastEntry is the table row the previous access resolved to (-1
+	// before any), checked before the binary search because consecutive
+	// accesses usually touch the same object.
 	lastEntry int
 
 	instrumented bool
@@ -109,13 +109,20 @@ func (c *ExecContext) findEntry(addr DevicePtr) int {
 	if c.lastEntry >= 0 && c.lastEntry < len(c.table) && c.table[c.lastEntry].rng.Contains(addr) {
 		return c.lastEntry
 	}
-	i := sort.Search(len(c.table), func(i int) bool { return c.table[i].rng.Addr > addr })
-	if i == 0 {
-		return -1
+	// Binary search for the first row starting above addr; only the row
+	// before it can contain addr.
+	lo, hi := 0, len(c.table)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.table[mid].rng.Addr > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	if c.table[i-1].rng.Contains(addr) {
-		c.lastEntry = i - 1
-		return i - 1
+	if lo > 0 && c.table[lo-1].rng.Contains(addr) {
+		c.lastEntry = lo - 1
+		return lo - 1
 	}
 	return -1
 }
@@ -347,8 +354,9 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 			for i, r := range live {
 				ctx.table[i] = hitEntry{rng: r}
 			}
-			if d.costOn && len(ctx.table) > 0 {
-				ctx.cost = costmodel.NewTracker(d.costSpec, d.costL2, len(ctx.table))
+			if d.costTracker != nil && len(ctx.table) > 0 {
+				d.costTracker.Reset(len(ctx.table))
+				ctx.cost = d.costTracker
 			}
 		}
 		if d.patch == PatchFull {
