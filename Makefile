@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet fmt lint api staticadv serve-smoke bench bench-streaming bench-pipeline bench-costmodel cover
+.PHONY: check build test race vet fmt lint api staticadv serve-smoke fuzz-smoke bench bench-streaming bench-pipeline bench-costmodel cover
 
 # check is the tier-1 verify gate (see ROADMAP.md): static checks, the
 # invariant linter suite, the static kernel advisor gate, the public API
@@ -70,6 +70,19 @@ api:
 serve-smoke:
 	@echo "== serve-smoke =="
 	$(GO) run ./cmd/drgpum-serve -smoke
+
+# fuzz-smoke runs every native fuzz target for 10s past its seed corpus,
+# which `make test` already replays. It stays out of check: fuzzing is
+# open-ended, and an input it finds belongs in the target's
+# testdata/fuzz corpus, not in a gate that passes or fails by luck.
+fuzz-smoke:
+	@echo "== fuzz-smoke =="
+	$(GO) test -run '^$$' -fuzz '^FuzzBitmapRange$$' -fuzztime 10s ./internal/intraobj
+	$(GO) test -run '^$$' -fuzz '^FuzzTrackerMatchesReference$$' -fuzztime 10s ./internal/costmodel
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/profile
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionID$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionRoute$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzMarginalSavings$$' -fuzztime 10s ./internal/advisor
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...

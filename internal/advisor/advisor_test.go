@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"slices"
 	"testing"
 
 	"drgpum/internal/depgraph"
@@ -156,6 +157,41 @@ func TestSubtract(t *testing.T) {
 	}
 }
 
+// TestSubtractAllSmallCases checks the in-place subtract against point
+// sets: every set of maximal runs over [0, 10) minus every gap within
+// [0, 12) must leave exactly the runs of the remaining points.
+func TestSubtractAllSmallCases(t *testing.T) {
+	const width = 10
+	runs := func(mask uint) []interval {
+		var out []interval
+		for x := uint64(0); x < width; x++ {
+			if mask&(1<<x) == 0 {
+				continue
+			}
+			if n := len(out); n > 0 && out[n-1].end == x {
+				out[n-1].end++
+			} else {
+				out = append(out, interval{start: x, end: x + 1})
+			}
+		}
+		return out
+	}
+	for mask := uint(0); mask < 1<<width; mask++ {
+		for a := uint64(0); a < width+2; a++ {
+			for b := uint64(0); b < width+2; b++ {
+				want := mask
+				for x := a; x < b && x < width; x++ {
+					want &^= 1 << x
+				}
+				got := subtract(runs(mask), interval{start: a, end: b})
+				if !slices.Equal(got, runs(want)) {
+					t.Fatalf("runs(%b) minus [%d, %d) = %v, want %v", mask, a, b, got, runs(want))
+				}
+			}
+		}
+	}
+}
+
 func TestMarginalSavings(t *testing.T) {
 	tr, fs := analyze(func(dev *gpu.Device) {
 		// big is pure waste sitting on the peak; removing it alone cuts
@@ -184,7 +220,34 @@ func TestMarginalSavings(t *testing.T) {
 	}
 }
 
-// BenchmarkAdvise measures the what-if replay on a mid-size trace.
+// TestMarginalSavingsAllocsPerFinding pins that pricing a finding
+// allocates nothing: eight times the findings cost the same allocations.
+func TestMarginalSavingsAllocsPerFinding(t *testing.T) {
+	tr, fs := analyze(func(dev *gpu.Device) {
+		p, _ := dev.Malloc(2000)
+		unused, _ := dev.Malloc(500)
+		touch(dev, p)
+		q, _ := dev.Malloc(2000)
+		touch(dev, q)
+		touch(dev, q)
+		_ = dev.Free(q)
+		touch(dev, p)
+		_ = dev.Free(unused)
+		_ = dev.Free(p)
+	})
+	var many []pattern.Finding
+	for i := 0; i < 8; i++ {
+		many = append(many, fs...)
+	}
+	few := testing.AllocsPerRun(10, func() { MarginalSavings(tr, fs) })
+	lots := testing.AllocsPerRun(10, func() { MarginalSavings(tr, many) })
+	if lots != few {
+		t.Errorf("%d findings: %v allocs; %d findings: %v allocs", len(fs), few, len(many), lots)
+	}
+}
+
+// BenchmarkAdvise measures the what-if analysis on a mid-size trace: the
+// aggregate estimate and the per-finding marginal savings.
 func BenchmarkAdvise(b *testing.B) {
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	c := trace.NewCollector()
@@ -209,12 +272,21 @@ func BenchmarkAdvise(b *testing.B) {
 	tr := c.Trace()
 	depgraph.Annotate(tr)
 	fs := objlevel.Detect(tr, objlevel.DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est := Advise(tr, fs)
-		if est.OriginalPeak == 0 {
-			b.Fatal("empty estimate")
+	b.Run("estimate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			est := Advise(tr, fs)
+			if est.OriginalPeak == 0 {
+				b.Fatal("empty estimate")
+			}
 		}
-	}
-	b.ReportMetric(float64(len(fs)), "findings")
+		b.ReportMetric(float64(len(fs)), "findings")
+	})
+	b.Run("marginal", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if s := MarginalSavings(tr, fs); len(s) != len(fs) {
+				b.Fatal("savings missing")
+			}
+		}
+		b.ReportMetric(float64(len(fs)), "findings")
+	})
 }

@@ -331,8 +331,8 @@ func (p *Profiler) Snapshot() *Report {
 
 // analyze builds a report from the current collection state.
 //
-// The offline stages run as a two-step concurrent pipeline (the online
-// collector is untouched — only the post-run analysis parallelizes):
+// The offline stages run in three steps (the online collector is
+// untouched — only the post-run analysis parallelizes):
 //
 //  1. depgraph.Annotate runs first and alone: it writes APIInfo.Topo, which
 //     every later stage reads.
@@ -340,9 +340,11 @@ func (p *Profiler) Snapshot() *Report {
 //     detectors are mutually independent — peak and objlevel only read the
 //     trace, and the intra-object recorder mutates nothing but itself — so
 //     they run concurrently.
-//  3. The advisor's marginal-savings scan (itself fanned out per finding)
-//     and the aggregate what-if estimate both only read the trace and the
-//     findings, so they run concurrently too.
+//  3. The advisor prices every finding's marginal peak savings in one sweep
+//     over the recorded live-bytes profile, then computes the aggregate
+//     what-if estimate. Both cost O((N+F) log N) for N objects and F
+//     findings, too little to repay a goroutine, so they run in order on
+//     the calling goroutine.
 //
 // Every stage writes to its own variable and the findings are concatenated
 // and decorated in a fixed order, so the report is byte-identical to the
@@ -417,18 +419,8 @@ func (p *Profiler) analyze() *Report {
 
 	var marginal []uint64
 	var advice advisor.Estimate
-	p.runStages(
-		func() {
-			staged(an, "marginal", func() {
-				if p.cfg.SequentialAnalysis {
-					marginal = advisor.MarginalSavingsSequential(t, findings)
-				} else {
-					marginal = advisor.MarginalSavings(t, findings)
-				}
-			})
-		},
-		func() { staged(an, "advise", func() { advice = advisor.Advise(t, findings) }) },
-	)
+	staged(an, "marginal", func() { marginal = advisor.MarginalSavings(t, findings) })
+	staged(an, "advise", func() { advice = advisor.Advise(t, findings) })
 
 	for i := range findings {
 		f := &findings[i]

@@ -136,6 +136,13 @@ func nuafVariation(st *objState) float64 {
 			samples = append(samples, float64(t))
 		}
 	} else {
+		n := 0
+		for _, f := range st.totalFreq {
+			if f > 0 {
+				n++
+			}
+		}
+		samples = make([]float64, 0, n)
 		for _, f := range st.totalFreq {
 			if f > 0 {
 				samples = append(samples, float64(f))
