@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build test race vet fmt lint api staticadv serve-smoke fuzz-smoke bench bench-streaming bench-pipeline bench-costmodel cover
+.PHONY: check build test race vet fmt lint api staticadv serve-smoke fuzz-smoke bench cover
 
 # check is the tier-1 verify gate (see ROADMAP.md): static checks, the
 # invariant linter suite, the static kernel advisor gate, the public API
 # surface lock, the full test suite, the race-enabled run that guards
-# the concurrent offline analysis pipeline, and the drgpum-serve smoke
-# round-trip. Steps run in cheapest-first order and fail fast; each
+# pipelined ingest, the shard workers and the engine's concurrent runs,
+# and the drgpum-serve smoke round-trip. Steps run in cheapest-first order and fail fast; each
 # announces itself so CI logs show exactly where a red run stopped.
 check: vet fmt build lint staticadv api test race serve-smoke
 	@echo "== check: all gates passed =="
@@ -83,38 +83,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionID$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionRoute$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzMarginalSavings$$' -fuzztime 10s ./internal/advisor
+	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalMatchesReference$$' -fuzztime 10s ./internal/depgraph
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
-
-# bench-streaming measures the streaming pipeline (ingest ns/op, snapshot
-# ns/op, resident bytes, offline counterparts) and writes
-# BENCH_streaming.json. CI publishes it from the bench-smoke step; the
-# EXPERIMENTS.md streaming appendix records representative values.
-bench-streaming:
-	@echo "== bench-streaming =="
-	$(GO) run ./cmd/drgpum-bench -out BENCH_streaming.json
-	@cat BENCH_streaming.json
-
-# bench-pipeline measures the pipelined intra-run mode against the
-# sequential one (per-workload end-to-end medians) and rewrites
-# BENCH_pipeline.json. The checked-in copy is the current baseline —
-# taken on the CI runner class, gomaxprocs recorded inside; CI re-runs
-# this and publishes the fresh numbers in the step summary.
-bench-pipeline:
-	@echo "== bench-pipeline =="
-	$(GO) run ./cmd/drgpum-bench -pipelined -out BENCH_pipeline.json
-	@cat BENCH_pipeline.json
-
-# bench-costmodel measures what the memory-hierarchy cost model adds to an
-# end-to-end profile (cost-on vs cost-off per-workload medians, overhead
-# percentage, total modeled cycles as a determinism fingerprint) and
-# rewrites BENCH_costmodel.json. The checked-in copy is the baseline; CI
-# re-runs this and publishes the fresh numbers in the step summary.
-bench-costmodel:
-	@echo "== bench-costmodel =="
-	$(GO) run ./cmd/drgpum-bench -costmodel -out BENCH_costmodel.json
-	@cat BENCH_costmodel.json
 
 # cover runs the test suite with coverage of every package (not just the
 # one under test) and prints the per-function summary. cover.out is

@@ -1,7 +1,10 @@
 // Command drgpum profiles one of the bundled workloads on the simulated
 // GPU and reports the detected memory inefficiencies, reproducing the
 // DrGPUM end-user workflow: run, inspect ranked findings with call paths
-// and suggestions, optionally export the Perfetto GUI trace.
+// and suggestions, optionally export the Perfetto GUI trace. It also
+// re-analyzes a saved profile (-load), optionally under different detector
+// thresholds or against a baseline profile — the persistent form of the
+// paper's online-collector/offline-analyzer split.
 //
 // Usage:
 //
@@ -12,6 +15,10 @@
 //	       [-gui liveness.json] [-html report.html] [-save profile.json]
 //	drgpum -workload polybench/2mm -diff
 //	drgpum -workload memcheck/knownbad -memcheck
+//	drgpum -workload simplemulticopy -gui liveness.json   # Figure 7
+//	drgpum -load profile.json [-ti 4] [-ra-tolerance 0.10] [-peaks 2]
+//	       [-json] [-verbose] [-timeline] [-gui liveness.json] [-html report.html]
+//	drgpum -load optimized.json -baseline naive.json
 //	drgpum -list
 package main
 
@@ -25,7 +32,7 @@ import (
 	"drgpum/internal/core"
 	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
-	"drgpum/internal/gui"
+	_ "drgpum/internal/gui" // registers the GUI and HTML exporters
 	"drgpum/internal/obs"
 	"drgpum/internal/tables"
 	"drgpum/internal/workloads"
@@ -36,34 +43,32 @@ func main() {
 	log.SetPrefix("drgpum: ")
 
 	var (
-		workload    = flag.String("workload", "", "workload to profile (see -list)")
-		variant     = flag.String("variant", "naive", "naive or optimized")
-		device      = flag.String("device", "rtx3090", "rtx3090 or a100")
-		mode        = flag.String("mode", "intra", "analysis granularity: object or intra")
-		sampling    = flag.Int("sampling", 1, "intra-object kernel sampling period")
-		jsonOut     = flag.Bool("json", false, "emit the report as JSON")
-		guiPath     = flag.String("gui", "", "write a Perfetto trace (liveness.json) to this path")
-		htmlPath    = flag.String("html", "", "write a self-contained HTML report to this path")
-		savePath    = flag.String("save", "", "save the profile for offline re-analysis (drgpum-analyze)")
-		verbose     = flag.Bool("verbose", false, "include call paths and peak object lists")
-		list        = flag.Bool("list", false, "list available workloads and exit")
-		memcheck    = flag.Bool("memcheck", false, "attach the memory-safety checker (OOB, use-after-free, uninitialized reads, leaks)")
-		stats       = flag.Bool("stats", false, "enable self-observability and print the profiler's own phase/counter summary after the report")
-		diff        = flag.Bool("diff", false, "profile both variants and summarize the optimization outcome")
-		timeline    = flag.Bool("timeline", false, "draw the object-lifetime timeline (the paper's Figure 2 view) after the report")
-		stream      = flag.Bool("stream", false, "stream the analysis: finalize per kernel-epoch with bounded collector memory (same report, plus a temporal heat map)")
-		window      = flag.Int("window", 0, "streaming kernel-epoch length (0 = default)")
-		heatmap     = flag.Bool("heatmap", false, "draw the temporal heat map after the report (implies -stream)")
-		pipelined   = flag.Bool("pipelined", false, "pipeline the run: simulate and ingest concurrently with sharded intra-object accumulation (identical report, lower wall clock)")
-		pipelineOld = flag.Bool("pipeline", false, "deprecated alias for -pipelined")
+		workload  = flag.String("workload", "", "workload to profile (see -list)")
+		variant   = flag.String("variant", "naive", "naive or optimized")
+		device    = flag.String("device", "rtx3090", "rtx3090 or a100")
+		mode      = flag.String("mode", "intra", "analysis granularity: object or intra")
+		sampling  = flag.Int("sampling", 1, "intra-object kernel sampling period")
+		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
+		guiPath   = flag.String("gui", "", "write a Perfetto trace (liveness.json) to this path")
+		htmlPath  = flag.String("html", "", "write a self-contained HTML report to this path")
+		savePath  = flag.String("save", "", "save the profile for offline re-analysis (drgpum -load)")
+		verbose   = flag.Bool("verbose", false, "include call paths and peak object lists")
+		list      = flag.Bool("list", false, "list available workloads and exit")
+		memcheck  = flag.Bool("memcheck", false, "attach the memory-safety checker (OOB, use-after-free, uninitialized reads, leaks)")
+		stats     = flag.Bool("stats", false, "enable self-observability and print the profiler's own phase/counter summary after the report")
+		diff      = flag.Bool("diff", false, "profile both variants and summarize the optimization outcome")
+		timeline  = flag.Bool("timeline", false, "draw the object-lifetime timeline (the paper's Figure 2 view) after the report")
+		stream    = flag.Bool("stream", false, "stream the analysis: finalize per kernel-epoch with bounded collector memory (same report, plus a temporal heat map)")
+		window    = flag.Int("window", 0, "streaming kernel-epoch length (0 = default)")
+		heatmap   = flag.Bool("heatmap", false, "draw the temporal heat map after the report (implies -stream)")
+		pipelined = flag.Bool("pipelined", false, "pipeline the run: simulate and ingest concurrently with sharded intra-object accumulation (identical report, lower wall clock)")
+		loadPath  = flag.String("load", "", "re-analyze this saved profile instead of running a workload")
+		baseline  = flag.String("baseline", "", "with -load: compare the loaded profile (the candidate) against this saved profile")
+		ti        = flag.Int("ti", 4, "with -load: temporary-idleness threshold (intervening GPU APIs)")
+		raTol     = flag.Float64("ra-tolerance", 0.10, "with -load: redundant-allocation size tolerance (fraction)")
+		peaks     = flag.Int("peaks", 2, "with -load: memory peaks to report")
 	)
 	flag.Parse()
-	if *pipelineOld {
-		// -pipeline predates the Config.PipelinedIngest / serve "pipelined"
-		// naming; it keeps working but -pipelined is the canonical spelling.
-		fmt.Fprintln(os.Stderr, "drgpum: -pipeline is deprecated, use -pipelined")
-		*pipelined = true
-	}
 
 	if *list {
 		for _, name := range workloads.Names() {
@@ -74,6 +79,28 @@ func main() {
 		}
 		return
 	}
+	if *loadPath != "" {
+		cfg := core.DefaultConfig()
+		cfg.ObjLevel.IdlenessThreshold = *ti
+		cfg.ObjLevel.RedundantSizeTolerance = *raTol
+		cfg.TopPeaks = *peaks
+		rep := loadProfile(*loadPath, cfg)
+		if *baseline != "" {
+			fmt.Printf("%s vs baseline %s\n", *loadPath, *baseline)
+			core.Compare(loadProfile(*baseline, cfg), rep).Render(os.Stdout)
+			return
+		}
+		output(rep, outputs{json: *jsonOut, verbose: *verbose, timeline: *timeline,
+			gui: *guiPath, html: *htmlPath, save: *savePath})
+		return
+	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "baseline", "ti", "ra-tolerance", "peaks":
+			log.Fatalf("-%s applies to a saved profile; use it with -load", f.Name)
+		}
+	})
+
 	w, ok := workloads.Lookup(*workload)
 	if !ok {
 		log.Fatalf("unknown workload %q; use -list to see the available ones", *workload)
@@ -145,7 +172,20 @@ func main() {
 		}
 	}
 
-	if *jsonOut {
+	output(rep, outputs{json: *jsonOut, verbose: *verbose, timeline: *timeline, heatmap: *heatmap,
+		stats: *stats, gui: *guiPath, html: *htmlPath, save: *savePath})
+}
+
+// outputs selects what output prints and which files it writes.
+type outputs struct {
+	json, verbose, timeline, heatmap, stats bool
+	gui, html, save                         string
+}
+
+// output prints the report — JSON, or the text report with the requested
+// views after it — and writes each requested export file.
+func output(rep *core.Report, o outputs) {
+	if o.json {
 		data, err := rep.MarshalJSON()
 		if err != nil {
 			log.Fatal(err)
@@ -153,16 +193,16 @@ func main() {
 		os.Stdout.Write(data)
 		fmt.Println()
 	} else {
-		rep.Render(os.Stdout, *verbose)
-		if *timeline {
+		rep.Render(os.Stdout, o.verbose)
+		if o.timeline {
 			fmt.Println()
 			rep.RenderTimeline(os.Stdout)
 		}
-		if *heatmap {
+		if o.heatmap {
 			fmt.Println()
 			rep.RenderHeatMap(os.Stdout)
 		}
-		if *stats {
+		if o.stats {
 			fmt.Println()
 			if err := rep.Export(os.Stdout, core.FormatStats); err != nil {
 				log.Fatal(err)
@@ -170,50 +210,45 @@ func main() {
 		}
 	}
 
-	if *guiPath != "" {
-		f, err := os.Create(*guiPath)
+	for _, file := range []struct {
+		path string
+		f    core.Format
+		note string
+	}{
+		{o.gui, core.FormatGUI, ` — open it at https://ui.perfetto.dev via "Open trace file"`},
+		{o.html, core.FormatHTML, ""},
+		{o.save, core.FormatProfile, " — re-analyze with drgpum -load " + o.save},
+	} {
+		if file.path == "" {
+			continue
+		}
+		f, err := os.Create(file.path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := gui.Export(rep, f); err != nil {
+		if err := rep.Export(f, file.f); err != nil {
 			f.Close()
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s — open it at https://ui.perfetto.dev via \"Open trace file\"\n", *guiPath)
+		fmt.Fprintf(os.Stderr, "wrote %s%s\n", file.path, file.note)
 	}
+}
 
-	if *htmlPath != "" {
-		f, err := os.Create(*htmlPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := gui.ExportHTML(rep, f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *htmlPath)
+// loadProfile re-analyzes a saved profile under cfg.
+func loadProfile(path string, cfg core.Config) *core.Report {
+	f, err := os.Open(path)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.SaveProfile(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s — re-analyze with drgpum-analyze -in %s\n", *savePath, *savePath)
+	defer f.Close()
+	rep, err := core.AnalyzeProfile(f, cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
+	return rep
 }
 
 // runDiff profiles the naive and optimized variants and prints the paper's

@@ -34,9 +34,8 @@
 // extras (drgpum.WithMemcheck, drgpum.WithObservability,
 // drgpum.WithThresholds, ...), and Report.Export is the one exporter
 // behind every output format (text, Perfetto GUI JSON, HTML, saved
-// profile, self-observability stats). Attach, DefaultConfig,
-// IntraObjectConfig, ExportGUI and ExportHTML remain as thin wrappers
-// over the same paths.
+// profile, self-observability stats). DefaultConfig and IntraObjectConfig
+// return prepared configurations for WithConfig.
 //
 // The profiler must be attached before the monitored GPU activity starts.
 // Annotate allocations with application-level names so reports speak the
@@ -175,9 +174,14 @@ type Format = core.Format
 const (
 	// FormatText is the human-readable report (Report.Render).
 	FormatText = core.FormatText
-	// FormatGUI is the Perfetto/Chrome-trace JSON export (ExportGUI).
+	// FormatGUI is the Perfetto/Chrome-trace JSON export (the paper's
+	// liveness.json): per-stream GPU API timeline, lifetime tracks of the
+	// data objects at the top memory peaks, the device-memory curve, and
+	// per-API inefficiency details. Open it at https://ui.perfetto.dev.
 	FormatGUI = core.FormatGUI
-	// FormatHTML is the self-contained HTML report (ExportHTML).
+	// FormatHTML is one self-contained HTML page: run statistics, an
+	// inline-SVG memory timeline with the mined peaks marked, and the
+	// ranked findings with metrics, suggestions and allocation call paths.
 	FormatHTML = core.FormatHTML
 	// FormatProfile is the saved profile AnalyzeProfile re-reads
 	// (Report.SaveProfile).
@@ -192,9 +196,8 @@ const (
 type Option func(*Config)
 
 // New attaches a profiler to the device, configured by the given options
-// over DefaultConfig. It is the package's one constructor — Attach is
-// New(dev, WithConfig(cfg)). Call it before the monitored GPU activity
-// starts.
+// over DefaultConfig. It is the package's one constructor. Call it before
+// the monitored GPU activity starts.
 func New(dev *gpu.Device, opts ...Option) *Profiler {
 	cfg := core.DefaultConfig()
 	for _, opt := range opts {
@@ -267,12 +270,6 @@ func WithKernelWhitelist(kernels ...string) Option {
 	return func(c *Config) { c.KernelWhitelist = kernels }
 }
 
-// WithSequentialAnalysis forces the offline analysis stages onto one
-// goroutine (see Config.SequentialAnalysis).
-func WithSequentialAnalysis() Option {
-	return func(c *Config) { c.SequentialAnalysis = true }
-}
-
 // StreamingConfig configures windowed streaming analysis
 // (Config.Streaming). See core.StreamingConfig.
 type StreamingConfig = core.StreamingConfig
@@ -334,11 +331,6 @@ func WithPipelinedIngest() Option {
 	return func(c *Config) { c.PipelinedIngest = true }
 }
 
-// Attach hooks a profiler up to a device and enables instrumentation at the
-// configured level. Call it before the monitored GPU activity starts. It is
-// equivalent to New(dev, WithConfig(cfg)).
-func Attach(dev *gpu.Device, cfg Config) *Profiler { return New(dev, WithConfig(cfg)) }
-
 // DefaultConfig returns the paper's experimental settings at object-level
 // analysis granularity (every GPU API intercepted; no per-instruction
 // instrumentation).
@@ -349,28 +341,17 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // per-object bitmaps and frequency maps.
 func IntraObjectConfig() Config { return core.IntraObjectConfig() }
 
-// ExportGUI writes a report as a Perfetto/Chrome-trace JSON file (the
-// paper's liveness.json): per-stream GPU API timeline, lifetime tracks of
-// the data objects at the top memory peaks, the device-memory curve, and
-// per-API inefficiency details. Open it at https://ui.perfetto.dev. It is
-// equivalent to rep.Export(w, FormatGUI).
-func ExportGUI(rep *Report, w io.Writer) error { return rep.Export(w, FormatGUI) }
-
 // AnalyzeProfile loads a profile previously written with
-// Report.SaveProfile and re-runs the offline analyses (dependency
-// ordering, peak mining, the seven object-level detectors) under the given
-// configuration — different thresholds included — without re-executing the
-// program. Intra-object findings are online-only and are not recomputed.
+// Report.SaveProfile and re-runs the analyses (dependency ordering, peak
+// mining, the object-level detectors, and cost-model pricing when the run
+// had the model on) under the given configuration — different thresholds
+// included — without re-executing the program. Under the live run's
+// configuration the object-level report is byte-identical to the live
+// one. Intra-object findings are online-only and are not recomputed. See
+// core.AnalyzeProfile.
 func AnalyzeProfile(r io.Reader, cfg Config) (*Report, error) {
 	return core.AnalyzeProfile(r, cfg)
 }
-
-// ExportHTML writes a report as one self-contained HTML page — run
-// statistics, an inline-SVG memory timeline with the mined peaks marked,
-// and the ranked findings with metrics, suggestions and allocation call
-// paths. The file has no external references and works offline. It is
-// equivalent to rep.Export(w, FormatHTML).
-func ExportHTML(rep *Report, w io.Writer) error { return rep.Export(w, FormatHTML) }
 
 // Pool is a caching device-memory allocator (the PyTorch CUDA caching
 // allocator analog). Use Profiler.AttachPool to give the profiler

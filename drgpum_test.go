@@ -13,7 +13,7 @@ import (
 // end through the public packages only.
 func TestPublicAPIQuickstart(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.SpecRTX3090())
-	prof := drgpum.Attach(dev, drgpum.IntraObjectConfig())
+	prof := drgpum.New(dev, drgpum.WithIntraObject())
 
 	buf, err := dev.Malloc(4096)
 	if err != nil {
@@ -64,7 +64,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 
 	var buf2 bytes.Buffer
-	if err := drgpum.ExportGUI(rep, &buf2); err != nil {
+	if err := rep.Export(&buf2, drgpum.FormatGUI); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf2.String(), "workbuf") && !strings.Contains(buf2.String(), "spare") {
@@ -74,7 +74,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIPool(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.SpecA100())
-	prof := drgpum.Attach(dev, drgpum.DefaultConfig())
+	prof := drgpum.New(dev)
 	pool := drgpum.NewPool(dev, 32<<10)
 	prof.AttachPool(pool)
 
@@ -204,7 +204,7 @@ func TestCostModelAdviceAPI(t *testing.T) {
 
 func TestFacadeBFCAndHTML(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.SpecRTX3090())
-	prof := drgpum.Attach(dev, drgpum.DefaultConfig())
+	prof := drgpum.New(dev)
 	arena := drgpum.NewBFC(dev, 64<<10)
 	prof.AttachPool(arena)
 
@@ -225,7 +225,7 @@ func TestFacadeBFCAndHTML(t *testing.T) {
 
 	rep := prof.Finish()
 	var buf bytes.Buffer
-	if err := drgpum.ExportHTML(rep, &buf); err != nil {
+	if err := rep.Export(&buf, drgpum.FormatHTML); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "w0") {

@@ -11,7 +11,7 @@ import (
 // used, and prints the detected patterns.
 func Example_quickstart() {
 	dev := gpusim.NewDevice(gpusim.SpecRTX3090())
-	prof := drgpum.Attach(dev, drgpum.IntraObjectConfig())
+	prof := drgpum.New(dev, drgpum.WithIntraObject())
 
 	data, _ := dev.Malloc(4096)
 	prof.Annotate(data, "data", 4)
@@ -41,7 +41,7 @@ func Example_quickstart() {
 // Example_suggestions shows the actionable guidance attached to a finding.
 func Example_suggestions() {
 	dev := gpusim.NewDevice(gpusim.SpecA100())
-	prof := drgpum.Attach(dev, drgpum.DefaultConfig())
+	prof := drgpum.New(dev)
 
 	buf, _ := dev.Malloc(1024)
 	prof.Annotate(buf, "results", 4)
@@ -66,7 +66,7 @@ func Example_suggestions() {
 // profiler sees individual tensors, not the pool's backing segments.
 func Example_pool() {
 	dev := gpusim.NewDevice(gpusim.SpecA100())
-	prof := drgpum.Attach(dev, drgpum.DefaultConfig())
+	prof := drgpum.New(dev)
 	pool := drgpum.NewPool(dev, 64<<10)
 	prof.AttachPool(pool)
 

@@ -26,7 +26,7 @@ func main() {
 	log.SetFlags(0)
 
 	dev := gpusim.NewDevice(gpusim.SpecA100())
-	prof := drgpum.Attach(dev, drgpum.DefaultConfig())
+	prof := drgpum.New(dev)
 
 	pool := drgpum.NewPool(dev, 64<<10)
 	prof.AttachPool(pool)

@@ -27,7 +27,7 @@ func main() {
 	dev := gpusim.NewDevice(gpusim.SpecRTX3090())
 	cfg := drgpum.IntraObjectConfig()
 	cfg.Memcheck = true
-	prof := drgpum.Attach(dev, cfg)
+	prof := drgpum.New(dev, drgpum.WithConfig(cfg))
 
 	const n = 256
 

@@ -29,7 +29,7 @@ func main() {
 	log.SetFlags(0)
 
 	dev := gpusim.NewDevice(gpusim.SpecA100())
-	prof := drgpum.Attach(dev, drgpum.IntraObjectConfig())
+	prof := drgpum.New(dev, drgpum.WithIntraObject())
 	s1 := dev.CreateStream()
 
 	// Eager setup: all four buffers up front.
@@ -77,7 +77,7 @@ func main() {
 
 	f, err := os.Create("multistream.json")
 	check(err)
-	check(drgpum.ExportGUI(report, f))
+	check(report.Export(f, drgpum.FormatGUI))
 	check(f.Close())
 	fmt.Println("\nwrote multistream.json — open it at https://ui.perfetto.dev")
 }

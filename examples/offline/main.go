@@ -23,7 +23,7 @@ func main() {
 
 	// --- record ---
 	dev := gpusim.NewDevice(gpusim.SpecRTX3090())
-	prof := drgpum.Attach(dev, drgpum.DefaultConfig())
+	prof := drgpum.New(dev)
 
 	staging := alloc(dev, prof, "staging", 32<<10) //staticadv:allow lifetime
 	work := alloc(dev, prof, "work", 32<<10)       //staticadv:allow lifetime

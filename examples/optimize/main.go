@@ -40,7 +40,7 @@ func main() {
 // profile runs a program variant under a fresh device and profiler.
 func profile(run func(*gpusim.Device, *drgpum.Profiler)) *drgpum.Report {
 	dev := gpusim.NewDevice(gpusim.SpecRTX3090())
-	prof := drgpum.Attach(dev, drgpum.IntraObjectConfig())
+	prof := drgpum.New(dev, drgpum.WithIntraObject())
 	run(dev, prof)
 	return prof.Finish()
 }

@@ -22,7 +22,7 @@ func main() {
 	log.SetFlags(0)
 
 	dev := gpusim.NewDevice(gpusim.SpecRTX3090())
-	prof := drgpum.Attach(dev, drgpum.IntraObjectConfig())
+	prof := drgpum.New(dev, drgpum.WithIntraObject())
 
 	const n = 1024
 

@@ -7,6 +7,7 @@ import (
 
 	"drgpum"
 	"drgpum/gpusim"
+	"drgpum/internal/gui"
 )
 
 // observedReport runs a small workload through the option-based
@@ -40,7 +41,7 @@ func observedReport(t *testing.T, opts ...drgpum.Option) *drgpum.Report {
 }
 
 // TestExportFormatsByteIdentical pins the exporter unification: every
-// legacy entry point produces exactly the bytes Report.Export produces for
+// underlying writer produces exactly the bytes Report.Export produces for
 // the corresponding format.
 func TestExportFormatsByteIdentical(t *testing.T) {
 	rep := observedReport(t, drgpum.WithIntraObject(), drgpum.WithObservability())
@@ -64,22 +65,21 @@ func TestExportFormatsByteIdentical(t *testing.T) {
 	}
 
 	compare("text", func(b *bytes.Buffer) error { rep.Render(b, false); return nil }, drgpum.FormatText)
-	compare("gui", func(b *bytes.Buffer) error { return drgpum.ExportGUI(rep, b) }, drgpum.FormatGUI)
-	compare("html", func(b *bytes.Buffer) error { return drgpum.ExportHTML(rep, b) }, drgpum.FormatHTML)
+	compare("gui", func(b *bytes.Buffer) error { return gui.Export(rep, b) }, drgpum.FormatGUI)
+	compare("html", func(b *bytes.Buffer) error { return gui.ExportHTML(rep, b) }, drgpum.FormatHTML)
 	compare("profile", func(b *bytes.Buffer) error { return rep.SaveProfile(b) }, drgpum.FormatProfile)
 	compare("stats", func(b *bytes.Buffer) error { _, err := b.WriteString(rep.Stats()); return err }, drgpum.FormatStats)
 }
 
 // TestNewOptions pins the option-based constructor: each option reaches
-// the profiler's behavior, and Attach(dev, cfg) stays equivalent to
-// New(dev, WithConfig(cfg)).
+// the profiler's behavior, and WithConfig(IntraObjectConfig()) stays
+// equivalent to WithIntraObject().
 func TestNewOptions(t *testing.T) {
 	rep := observedReport(t,
 		drgpum.WithIntraObject(),
 		drgpum.WithMemcheck(),
 		drgpum.WithObservability(),
 		drgpum.WithTopPeaks(3),
-		drgpum.WithSequentialAnalysis(),
 	)
 	if rep.Memcheck == nil {
 		t.Error("WithMemcheck did not attach the checker")
@@ -114,7 +114,8 @@ func TestNewOptions(t *testing.T) {
 		t.Error("shared observer saw no APIs")
 	}
 
-	// Attach is New + WithConfig: same workload, byte-identical reports.
+	// A prepared Config and the equivalent option: same workload,
+	// byte-identical reports.
 	mkDev := func() (*gpusim.Device, func(p *drgpum.Profiler) *drgpum.Report) {
 		dev := gpusim.NewDevice(gpusim.SpecRTX3090())
 		return dev, func(p *drgpum.Profiler) *drgpum.Report {
@@ -129,21 +130,14 @@ func TestNewOptions(t *testing.T) {
 			return p.Finish()
 		}
 	}
-	// Both constructors drive the workload through the same call site so
+	// Both configurations drive the workload through the same call site so
 	// the unwound call paths in the verbose render match exactly.
-	cfg := drgpum.IntraObjectConfig()
 	var outs [2]bytes.Buffer
-	for i, useAttach := range []bool{true, false} {
+	for i, opt := range []drgpum.Option{drgpum.WithConfig(drgpum.IntraObjectConfig()), drgpum.WithIntraObject()} {
 		dev, run := mkDev()
-		var p *drgpum.Profiler
-		if useAttach {
-			p = drgpum.Attach(dev, cfg)
-		} else {
-			p = drgpum.New(dev, drgpum.WithConfig(cfg))
-		}
-		run(p).Render(&outs[i], true)
+		run(drgpum.New(dev, opt)).Render(&outs[i], true)
 	}
 	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
-		t.Error("Attach and New(WithConfig) reports differ")
+		t.Error("New(WithConfig(IntraObjectConfig())) and New(WithIntraObject()) reports differ")
 	}
 }

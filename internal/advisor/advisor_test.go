@@ -22,7 +22,7 @@ func analyze(program func(dev *gpu.Device)) (*trace.Trace, []pattern.Finding) {
 	program(dev)
 	tr := c.Trace()
 	depgraph.Annotate(tr)
-	return tr, objlevel.Detect(tr, objlevel.DefaultConfig())
+	return tr, objlevel.Detect(tr, objlevel.Accumulate(tr, objlevel.DefaultConfig()))
 }
 
 func touch(dev *gpu.Device, ptr gpu.DevicePtr) {
@@ -271,7 +271,7 @@ func BenchmarkAdvise(b *testing.B) {
 	}
 	tr := c.Trace()
 	depgraph.Annotate(tr)
-	fs := objlevel.Detect(tr, objlevel.DefaultConfig())
+	fs := objlevel.Detect(tr, objlevel.Accumulate(tr, objlevel.DefaultConfig()))
 	b.Run("estimate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			est := Advise(tr, fs)

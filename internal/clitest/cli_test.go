@@ -99,12 +99,12 @@ func TestSaveAnalyzePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Default threshold: the canonical report.
-	out := run(t, "drgpum-analyze", "-in", prof)
+	out := run(t, "drgpum", "-load", prof)
 	if !strings.Contains(out, "q_dx") || !strings.Contains(out, "Late Deallocation") {
 		t.Errorf("analyze output missing the Listing 1 finding:\n%s", out)
 	}
 	// Stricter idleness bar yields at least as many findings.
-	loose := run(t, "drgpum-analyze", "-in", prof, "-ti", "2")
+	loose := run(t, "drgpum", "-load", prof, "-ti", "2")
 	if strings.Count(loose, "Temporary Idleness") < strings.Count(out, "Temporary Idleness") {
 		t.Error("lower threshold reported fewer idleness findings")
 	}
@@ -178,7 +178,7 @@ func TestAnalyzeBaselineComparison(t *testing.T) {
 	run(t, "drgpum", "-workload", "rodinia/huffman", "-mode", "object", "-save", naive)
 	run(t, "drgpum", "-workload", "rodinia/huffman", "-variant", "optimized", "-mode", "object", "-save", opt)
 
-	out := run(t, "drgpum-analyze", "-in", opt, "-baseline", naive)
+	out := run(t, "drgpum", "-load", opt, "-baseline", naive)
 	for _, want := range []string{"data-object peak:", "(-68%)", "d_cw32", "eliminated"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("baseline comparison missing %q:\n%s", want, out)

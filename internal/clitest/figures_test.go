@@ -64,19 +64,23 @@ func TestOverheadUnknownWorkload(t *testing.T) {
 	}
 }
 
-// TestGUIExportDeterministic runs drgpum-gui twice and requires the
-// Perfetto trace to be byte-identical across runs — the determinism
-// guarantee the whole toolchain advertises.
+// TestGUIExportDeterministic exports the paper's Figure 7 trace —
+// drgpum -workload simplemulticopy -gui — twice and requires the Perfetto
+// trace to be byte-identical across runs: the determinism guarantee the
+// whole toolchain advertises.
 func TestGUIExportDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	first := filepath.Join(dir, "a.json")
 	second := filepath.Join(dir, "b.json")
 
-	out := run(t, "drgpum-gui", "-o", first)
-	if !strings.Contains(out, "wrote "+first) || !strings.Contains(out, "perfetto") {
-		t.Errorf("stdout missing the wrote line:\n%s", out)
+	out, err := command(t, "drgpum", "-workload", "simplemulticopy", "-gui", first).CombinedOutput()
+	if err != nil {
+		t.Fatalf("drgpum -gui: %v\n%s", err, out)
 	}
-	run(t, "drgpum-gui", "-o", second)
+	if !strings.Contains(string(out), "wrote "+first) || !strings.Contains(string(out), "perfetto") {
+		t.Errorf("output missing the wrote line:\n%s", out)
+	}
+	run(t, "drgpum", "-workload", "simplemulticopy", "-gui", second)
 
 	a, err := os.ReadFile(first)
 	if err != nil {

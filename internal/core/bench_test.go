@@ -10,9 +10,9 @@ import (
 )
 
 // collectedProfiler runs a workload once at intra-object granularity and
-// returns the still-attached profiler, so Snapshot() re-runs the offline
-// analysis pipeline over a fixed collection state.
-func collectedProfiler(tb testing.TB, name string, sequential bool) *core.Profiler {
+// returns the still-attached profiler, so Snapshot() re-runs the analysis
+// stages over a fixed collection state.
+func collectedProfiler(tb testing.TB, name string) *core.Profiler {
 	tb.Helper()
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -21,7 +21,6 @@ func collectedProfiler(tb testing.TB, name string, sequential bool) *core.Profil
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	cfg := core.IntraObjectConfig()
 	cfg.KernelWhitelist = w.IntraKernels
-	cfg.SequentialAnalysis = sequential
 	prof := core.Attach(dev, cfg)
 	if err := w.Run(dev, prof, workloads.VariantNaive); err != nil {
 		tb.Fatal(err)
@@ -29,23 +28,14 @@ func collectedProfiler(tb testing.TB, name string, sequential bool) *core.Profil
 	return prof
 }
 
-// BenchmarkAnalyzePipeline measures the offline analysis alone — dependency
-// graph, peak mining, object-level and intra-object detection, marginal
-// savings and suggestion rendering — decoupled from collection.
+// BenchmarkAnalyzePipeline measures report building alone — peak mining,
+// object-level and intra-object detection, marginal savings and
+// suggestion rendering over the state the arrival hook left — decoupled
+// from collection.
 func BenchmarkAnalyzePipeline(b *testing.B) {
 	for _, name := range []string{"simplemulticopy", "rodinia/huffman", "minimdock"} {
-		b.Run(name+"/parallel", func(b *testing.B) {
-			prof := collectedProfiler(b, name, false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var n int
-			for i := 0; i < b.N; i++ {
-				n = len(prof.Snapshot().Findings)
-			}
-			b.ReportMetric(float64(n), "findings")
-		})
-		b.Run(name+"/sequential", func(b *testing.B) {
-			prof := collectedProfiler(b, name, true)
+		b.Run(name, func(b *testing.B) {
+			prof := collectedProfiler(b, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var n int
@@ -59,7 +49,7 @@ func BenchmarkAnalyzePipeline(b *testing.B) {
 
 // BenchmarkReportJSON measures report serialization (the drgpum -json path).
 func BenchmarkReportJSON(b *testing.B) {
-	prof := collectedProfiler(b, "simplemulticopy", false)
+	prof := collectedProfiler(b, "simplemulticopy")
 	rep := prof.Finish()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -14,18 +14,15 @@ import (
 // costMode names one execution mode of the cost determinism matrix.
 type costMode struct {
 	name                 string
-	sequential           bool // Config.SequentialAnalysis
 	pipelined, streaming bool
 }
 
-// costModes is the full mode matrix: strictly sequential analysis, the
-// default concurrent offline analysis, pipelined ingest with sharded
-// accumulation, and streaming windowed retirement. Cost accounting rides
-// the synchronous kernel execution path in every one of them, so modeled
-// cycles must be bit-equal across the matrix.
+// costModes is the full mode matrix: the default offline run, pipelined
+// ingest with sharded accumulation, and streaming windowed retirement.
+// Cost accounting rides the synchronous kernel execution path in every one
+// of them, so modeled cycles must be bit-equal across the matrix.
 var costModes = []costMode{
-	{name: "sequential", sequential: true},
-	{name: "parallel"},
+	{name: "offline"},
 	{name: "pipelined", pipelined: true},
 	{name: "streaming", streaming: true},
 }
@@ -37,7 +34,6 @@ func costReport(tb testing.TB, w *workloads.Workload, v workloads.Variant, m cos
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	cfg := core.IntraObjectConfig()
 	cfg.KernelWhitelist = w.IntraKernels
-	cfg.SequentialAnalysis = m.sequential
 	if m.pipelined {
 		cfg.PipelinedIngest = true
 		cfg.PipelineShards = pipelineShards
@@ -70,8 +66,8 @@ func costFingerprint(rep *core.Report) string {
 
 // TestCostModelDeterminism pins the cost model's mode independence: the
 // modeled cycles attached to objects and findings — and therefore the
-// cycles-ranked advice order — must be byte-identical whether the analysis
-// ran sequentially, concurrently, pipelined, or streaming. The uncoalesced
+// cycles-ranked advice order — must be byte-identical whether the run was
+// offline, pipelined, or streaming. The uncoalesced
 // workloads are the interesting rows (their advice exists only because of
 // the model); polybench/2mm covers the mixed case where cost cycles rank
 // findings other detectors produced.

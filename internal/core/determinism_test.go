@@ -8,9 +8,9 @@ import (
 
 // profiledJSON profiles the named workload from scratch and returns the
 // serialized report.
-func profiledJSON(t *testing.T, name string, sequential bool) []byte {
+func profiledJSON(t *testing.T, name string) []byte {
 	t.Helper()
-	prof := collectedProfiler(t, name, sequential)
+	prof := collectedProfiler(t, name)
 	out, err := json.Marshal(prof.Finish())
 	if err != nil {
 		t.Fatal(err)
@@ -19,21 +19,15 @@ func profiledJSON(t *testing.T, name string, sequential bool) []byte {
 }
 
 // TestAnalysisDeterminism pins DESIGN.md §4.1: profiling the same workload
-// must yield byte-identical JSON reports across runs, and the concurrent
-// analysis pipeline must produce exactly the bytes the sequential one does.
-// Any ordering leak from the parallel stages (goroutine completion order,
-// map iteration, non-deterministic merge) shows up here as a diff.
+// must yield byte-identical JSON reports across runs. Any ordering leak
+// (map iteration, non-deterministic merge) shows up here as a diff.
 func TestAnalysisDeterminism(t *testing.T) {
 	for _, name := range []string{"simplemulticopy", "rodinia/huffman", "polybench/bicg"} {
 		t.Run(name, func(t *testing.T) {
-			first := profiledJSON(t, name, false)
-			again := profiledJSON(t, name, false)
+			first := profiledJSON(t, name)
+			again := profiledJSON(t, name)
 			if !bytes.Equal(first, again) {
-				t.Errorf("two parallel-analysis runs differ (%d vs %d bytes)", len(first), len(again))
-			}
-			seq := profiledJSON(t, name, true)
-			if !bytes.Equal(first, seq) {
-				t.Errorf("parallel and sequential analysis differ (%d vs %d bytes)", len(first), len(seq))
+				t.Errorf("two runs differ (%d vs %d bytes)", len(first), len(again))
 			}
 		})
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Format selects a Report.Export output format — the one exporter entry
-// point unifying the historically separate Render/ExportGUI/ExportHTML/
-// SaveProfile paths (each of which remains as a one-line delegate).
+// point behind the text render, the GUI and HTML exports, the saved
+// profile and the self-observability summary.
 type Format uint8
 
 const (
@@ -89,9 +89,10 @@ func ParseFormat(name string) (Format, bool) {
 	return 0, false
 }
 
-// Export writes the report to w in the requested format. Every legacy
-// entry point (Render, SaveProfile, drgpum.ExportGUI, drgpum.ExportHTML)
-// produces byte-identical output to the corresponding format here.
+// Export writes the report to w in the requested format. The underlying
+// writers (Render, SaveProfile, and the GUI and HTML exporters the gui
+// package registers) produce byte-identical output to the corresponding
+// format here.
 func (r *Report) Export(w io.Writer, f Format) error {
 	switch f {
 	case FormatText:

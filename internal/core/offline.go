@@ -3,26 +3,22 @@ package core
 import (
 	"errors"
 	"io"
-	"sort"
 
-	"drgpum/internal/advisor"
 	"drgpum/internal/depgraph"
 	"drgpum/internal/gpu"
 	"drgpum/internal/objlevel"
-	"drgpum/internal/pattern"
-	"drgpum/internal/peak"
 	"drgpum/internal/profile"
-	"drgpum/internal/trace"
 )
 
 // errStreamedProfile is returned by SaveProfile for streamed traces.
 var errStreamedProfile = errors.New("core: streamed trace has retired its access history; profiles require an offline (non-streaming) run")
 
-// SaveProfile serializes the report's trace and run metadata as a profile
-// file that AnalyzeProfile can re-analyze later — the persistent form of
-// the paper's online-collector/offline-analyzer split (§4). Streamed traces
-// cannot be saved: window retirement already discarded the per-invocation
-// payloads a profile round-trips.
+// SaveProfile serializes the report's trace and run metadata — including
+// the cost-model spec and per-object cost attribution when the model was on
+// — as a profile file that AnalyzeProfile can re-analyze later: the
+// persistent form of the paper's online-collector/offline-analyzer split
+// (§4). Streamed traces cannot be saved: window retirement already
+// discarded the per-invocation payloads a profile round-trips.
 func (r *Report) SaveProfile(w io.Writer) error {
 	if r.Trace.Streamed {
 		return errStreamedProfile
@@ -31,59 +27,41 @@ func (r *Report) SaveProfile(w io.Writer) error {
 		Device:    r.Device,
 		Cycles:    r.Elapsed,
 		PeakBytes: r.MemStats.Peak,
+		Capacity:  r.MemStats.Capacity,
+		CostModel: r.CostModel,
 	}, w)
 }
 
-// AnalyzeProfile loads a saved profile and re-runs the offline analyses —
-// dependency ordering, peak mining, and the object-level detectors — under
-// the given thresholds. Because every §3 threshold is user-tunable, this
-// lets a saved run be re-examined under different settings without
-// re-executing the application. Intra-object findings are an online
-// product (the access maps live only during the run) and are not
-// recomputed; re-analysis covers the seven object-level patterns.
+// AnalyzeProfile loads a saved profile and re-runs the analyses under the
+// given configuration. The saved event stream is replayed in API order
+// through the dependency pass and the consecutive-access accumulator the
+// live profiler runs at arrival, and the report is built by the same code,
+// so re-analyzing under the thresholds of the live run reproduces its
+// object-level report byte for byte. Because every §3 threshold is
+// user-tunable, this lets a saved run be re-examined under different
+// settings without re-executing the application.
+//
+// When the profile carries a cost-model spec and cfg.CostModel.Disabled is
+// false, findings are priced with that spec and the saved per-object costs,
+// and the uncoalesced-access detector runs under cfg.CostModel's MinWarps
+// and ExcessRatio. Saved costs cannot be re-modeled, so cfg.CostModel.Spec
+// is ignored. Intra-object findings are an online product (the access maps
+// live only during the run) and stay live-only: re-analysis covers the
+// object-level patterns and uncoalesced access.
 func AnalyzeProfile(rd io.Reader, cfg Config) (*Report, error) {
 	t, meta, err := profile.Load(rd)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TopPeaks <= 0 {
-		cfg.TopPeaks = 2
+	inc := depgraph.Annotate(t)
+	acc := objlevel.Accumulate(t, cfg.ObjLevel)
+	rm := runMeta{
+		device: meta.Device,
+		mem:    gpu.AllocStats{Peak: meta.PeakBytes, Capacity: meta.Capacity},
+		cycles: meta.Cycles,
 	}
-	return analyzeLoaded(t, meta, cfg), nil
-}
-
-// analyzeLoaded runs the offline pipeline over a loaded trace.
-func analyzeLoaded(t *trace.Trace, meta profile.Meta, cfg Config) *Report {
-	g := depgraph.Annotate(t)
-	pk := peak.Analyze(t, cfg.TopPeaks)
-	findings := objlevel.Detect(t, cfg.ObjLevel)
-
-	marginal := advisor.MarginalSavings(t, findings)
-	for i := range findings {
-		f := &findings[i]
-		f.OnPeak = pk.OnPeak(f.Object)
-		f.PeakSavingsBytes = marginal[i]
-		f.Suggestion = pattern.Suggest(t, f)
-		f.Severity = severity(f)
+	if !cfg.CostModel.Disabled {
+		rm.cost = meta.CostModel
 	}
-	sort.SliceStable(findings, func(i, j int) bool {
-		if findings[i].Severity != findings[j].Severity {
-			return findings[i].Severity > findings[j].Severity
-		}
-		if findings[i].Object != findings[j].Object {
-			return findings[i].Object < findings[j].Object
-		}
-		return findings[i].Pattern < findings[j].Pattern
-	})
-
-	return &Report{
-		Device:   meta.Device,
-		Trace:    t,
-		Graph:    g,
-		Peaks:    pk,
-		Findings: findings,
-		MemStats: gpu.AllocStats{Peak: meta.PeakBytes},
-		Elapsed:  meta.Cycles,
-		WhatIf:   advisor.Advise(t, findings),
-	}
+	return buildReport(nil, t, inc, acc, nil, cfg, rm), nil
 }

@@ -17,8 +17,8 @@ import (
 const pipelineShards = 2
 
 // pipelineReport runs one workload variant from scratch, either through
-// the plain sequential pipeline (the identity baseline: one goroutine,
-// Config.SequentialAnalysis) or through the pipelined one (double-
+// the plain sequential pipeline (the identity baseline: synchronous
+// ingestion on one goroutine) or through the pipelined one (double-
 // buffered access hand-off plus sharded intra-object accumulation).
 func pipelineReport(tb testing.TB, name string, v workloads.Variant, pipelined, stream bool, shards int) *core.Report {
 	tb.Helper()
@@ -32,8 +32,6 @@ func pipelineReport(tb testing.TB, name string, v workloads.Variant, pipelined, 
 	if pipelined {
 		cfg.PipelinedIngest = true
 		cfg.PipelineShards = shards
-	} else {
-		cfg.SequentialAnalysis = true
 	}
 	if stream {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
@@ -118,8 +116,6 @@ func TestPipelinedMemcheckDeterminism(t *testing.T) {
 		if pipelined {
 			cfg.PipelinedIngest = true
 			cfg.PipelineShards = pipelineShards
-		} else {
-			cfg.SequentialAnalysis = true
 		}
 		prof := core.Attach(dev, cfg)
 		if err := w.Run(dev, prof, workloads.VariantNaive); err != nil {
@@ -183,7 +179,7 @@ func TestPipelinedSnapshotThenFinish(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			run := func(snapshots bool) *core.Report {
 				dev := gpu.NewDevice(gpu.SpecRTX3090())
-				cfg := trainingConfig(false, stream)
+				cfg := trainingConfig(stream)
 				cfg.PipelinedIngest = true
 				cfg.PipelineShards = pipelineShards
 				prof := core.Attach(dev, cfg)

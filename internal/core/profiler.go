@@ -7,7 +7,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"drgpum/internal/advisor"
 	"drgpum/internal/costmodel"
@@ -32,7 +31,8 @@ type Config struct {
 	ObjLevel objlevel.Config
 	// IntraObj holds the intra-object detector thresholds.
 	IntraObj intraobj.Config
-	// TopPeaks is how many memory peaks the analyzer reports (paper: 2).
+	// TopPeaks is how many memory peaks the analyzer reports (paper: 2;
+	// <= 0 selects that default).
 	TopPeaks int
 	// KernelWhitelist restricts intra-object instrumentation to the listed
 	// kernel names (paper §5.5). Empty means all kernels.
@@ -60,16 +60,9 @@ type Config struct {
 	// at near-zero cost. Sharing one recorder across several profilers
 	// aggregates them (counter updates are atomic; same-name spans merge).
 	Obs *obs.Recorder
-	// SequentialAnalysis forces the offline analysis stages to run strictly
-	// sequentially on one goroutine. The default concurrent pipeline is
-	// deterministic (reports are byte-identical either way — the
-	// determinism regression tests pin this); the switch exists for
-	// debugging and for environments where the analyzer must not spawn
-	// goroutines.
-	SequentialAnalysis bool
-	// Streaming enables incremental kernel-epoch analysis with bounded
-	// collector memory and a temporal heat map (Report.Heat). Finish
-	// reports stay byte-identical to the offline pipeline; see
+	// Streaming retires the trace's history in kernel-epoch windows, for
+	// bounded collector memory and a temporal heat map (Report.Heat).
+	// Finish reports stay byte-identical to an offline run's; see
 	// StreamingConfig.
 	Streaming StreamingConfig
 	// PipelinedIngest decouples simulation from ingestion inside the run:
@@ -151,7 +144,7 @@ type Profiler struct {
 	collector *trace.Collector
 	recorder  *intraobj.Recorder
 	checker   *memcheck.Checker
-	window    *windowManager // nil unless Config.Streaming.Enabled
+	arrival   *arrivalHook
 
 	// whitelist and samplePeriod are the instrument-filter inputs, built
 	// once at Attach so the filter closure never reconstructs them.
@@ -176,9 +169,6 @@ type Profiler struct {
 // the configured level. It must be called before the monitored GPU activity
 // starts; APIs invoked earlier are not observed.
 func Attach(dev *gpu.Device, cfg Config) *Profiler {
-	if cfg.TopPeaks <= 0 {
-		cfg.TopPeaks = 2
-	}
 	if cfg.DefaultElemSize == 0 {
 		cfg.DefaultElemSize = 4
 	}
@@ -212,12 +202,10 @@ func Attach(dev *gpu.Device, cfg Config) *Profiler {
 	// not the raw allocator, so pool tensors (paper §5.4) resolve correctly.
 	dev.SetLiveRangesProvider(p.collector.LiveRanges)
 	dev.AddHook(p.collector)
-	if cfg.Streaming.Enabled {
-		// After the collector: the window manager's OnAPI must see the
-		// just-appended APIInfo with final touch sets.
-		p.window = newWindowManager(p.collector.Trace(), p.recorder, cfg)
-		dev.AddHook(p.window)
-	}
+	// After the collector: the arrival hook's OnAPI must see the
+	// just-appended APIInfo with final touch sets.
+	p.arrival = newArrivalHook(p.collector.Trace(), p.recorder, cfg)
+	dev.AddHook(p.arrival)
 	dev.SetPatchLevel(cfg.Level)
 	if cfg.PipelinedIngest {
 		// Last, after every hook is registered: the pipeline consumer
@@ -296,19 +284,16 @@ func (p *Profiler) Annotate(ptr gpu.DevicePtr, label string, elemSize uint32) bo
 // bridge of paper §5.4).
 func (p *Profiler) Collector() *trace.Collector { return p.collector }
 
-// Finish stops collection, runs the offline analyses and returns the
-// report. It is idempotent in effect but must not race with device use.
+// Finish stops collection, runs the analyses and returns the report. It
+// is idempotent in effect but must not race with device use.
 func (p *Profiler) Finish() *Report {
 	p.dev.SetPatchLevel(gpu.PatchNone)
 	// Tear down outside-in: join the batch consumer first (no more batches
-	// can arrive), then close the trailing window (which drains the shard
-	// workers at its merge point), then join the shard workers so analysis
-	// reads settled per-object state.
+	// can arrive), then close a streaming run's trailing window (which
+	// drains the shard workers at its merge point), then join the shard
+	// workers so analysis reads settled per-object state.
 	p.dev.StopPipelinedIngest()
-	if p.window != nil {
-		// Close the trailing partial window; no more APIs can arrive.
-		p.window.finish()
-	}
+	p.arrival.finish()
 	if p.recorder != nil {
 		p.recorder.StopIngest()
 	}
@@ -329,93 +314,73 @@ func (p *Profiler) Snapshot() *Report {
 	return p.analyze()
 }
 
-// analyze builds a report from the current collection state.
-//
-// The offline stages run in three steps (the online collector is
-// untouched — only the post-run analysis parallelizes):
-//
-//  1. depgraph.Annotate runs first and alone: it writes APIInfo.Topo, which
-//     every later stage reads.
-//  2. peak analysis, the object-level detectors and the intra-object
-//     detectors are mutually independent — peak and objlevel only read the
-//     trace, and the intra-object recorder mutates nothing but itself — so
-//     they run concurrently.
-//  3. The advisor prices every finding's marginal peak savings in one sweep
-//     over the recorded live-bytes profile, then computes the aggregate
-//     what-if estimate. Both cost O((N+F) log N) for N objects and F
-//     findings, too little to repay a goroutine, so they run in order on
-//     the calling goroutine.
-//
-// Every stage writes to its own variable and the findings are concatenated
-// and decorated in a fixed order, so the report is byte-identical to the
-// sequential pipeline (Config.SequentialAnalysis; pinned by the determinism
-// regression tests).
+// analyze builds a report from the current collection state. The arrival
+// hook has already assigned every timestamp and fed every access event to
+// the consecutive-access accumulator, so the stages only read its state.
 func (p *Profiler) analyze() *Report {
 	// an is the analyze span-tree node (nil without observability); each
-	// stage below opens a child span so per-analyzer self-time shows up in
-	// the phase breakdown. Stage spans aggregate by name, so a concurrent
-	// pass and a sequential pass record identical counts.
+	// stage opens a child span so per-analyzer self-time shows up in the
+	// phase breakdown.
 	an := p.obs.Root().Child("analyze")
 	anSpan := an.Start()
-	t := p.collector.Trace()
-
-	// Streaming runs the same stages over incrementally maintained state:
-	// timestamps and the dependency summary were assigned at arrival, the
-	// peak miner runs over a timeline bounded by the tracked maximum
-	// timestamp, and the object-level detectors read the arrival-time
-	// accumulator instead of walking (possibly compacted) access lists.
-	// Each branch funnels into the code path the offline pipeline uses, so
-	// reports stay byte-identical (pinned by the streaming determinism
-	// tests).
-	var g *depgraph.Graph
-	if p.window != nil {
-		staged(an, "depgraph", func() { g = p.window.inc.Graph() })
-	} else {
-		staged(an, "depgraph", func() { g = depgraph.Annotate(t) })
+	meta := runMeta{device: p.dev.Spec().Name, mem: p.dev.MemStats(), cycles: p.dev.Elapsed()}
+	if spec, on := p.dev.CostModelSpec(); on {
+		meta.cost = &spec
 	}
+	rep := buildReport(an, p.collector.Trace(), p.arrival.inc, p.arrival.acc, p.recorder, p.cfg, meta)
+	if p.checker != nil {
+		rep.Memcheck = p.checker.Report()
+	}
+	anSpan.End()
 
-	costSpec, costOn := p.dev.CostModelSpec()
+	rep.Heat = p.arrival.heat
+	if p.obs.Enabled() {
+		p.publishCounters(rep)
+		snap := p.obs.Snapshot()
+		rep.Obs = &snap
+	}
+	return rep
+}
 
+// runMeta is the run-level metadata a report carries beside the trace,
+// taken from the live device or from a saved profile.
+type runMeta struct {
+	device string
+	mem    gpu.AllocStats
+	cycles uint64
+	// cost is the cost-model spec findings are priced with; nil when the
+	// model is off.
+	cost *costmodel.Spec
+}
+
+// buildReport runs the analysis stages in order on the calling goroutine,
+// each in its span under an (nil without observability), over a trace
+// whose timestamps inc assigned and whose access events acc observed, then
+// prices, decorates and ranks the findings and assembles the report. rec
+// is the intra-object recorder (nil at object level and for saved
+// profiles). The live profiler and AnalyzeProfile build every report here.
+func buildReport(an *obs.Node, t *trace.Trace, inc *depgraph.Incremental, acc *objlevel.Accumulator,
+	rec *intraobj.Recorder, cfg Config, meta runMeta) *Report {
+	var g *depgraph.Graph
+	staged(an, "depgraph", func() { g = inc.Graph() })
 	var pk *peak.Analysis
-	var objFindings, intraFindings, costFindings []pattern.Finding
+	staged(an, "peak", func() {
+		pk = peak.AnalyzeTimeline(t, cfg.TopPeaks, t.LiveBytesTimelineTo(inc.MaxTopo()))
+	})
+	var findings []pattern.Finding
+	staged(an, "objlevel", func() { findings = objlevel.Detect(t, acc) })
 	var modeStats intraobj.ModeStats
-	p.runStages(
-		func() {
-			staged(an, "peak", func() {
-				if p.window != nil {
-					pk = peak.AnalyzeTimeline(t, p.cfg.TopPeaks, t.LiveBytesTimelineTo(p.window.maxTopo))
-				} else {
-					pk = peak.Analyze(t, p.cfg.TopPeaks)
-				}
-			})
-		},
-		func() {
-			staged(an, "objlevel", func() {
-				if p.window != nil {
-					objFindings = objlevel.DetectStreamed(t, p.cfg.ObjLevel, p.window.acc)
-				} else {
-					objFindings = objlevel.Detect(t, p.cfg.ObjLevel)
-				}
-			})
-		},
-		func() {
-			if p.recorder != nil {
-				staged(an, "intraobj", func() {
-					intraFindings = p.recorder.Detect(p.cfg.IntraObj)
-					modeStats = p.recorder.Stats()
-				})
-			}
-		},
-		func() {
-			if costOn {
-				staged(an, "costmodel", func() {
-					costFindings = detectUncoalesced(t, costSpec, p.cfg.CostModel)
-				})
-			}
-		},
-	)
-	findings := append(objFindings, intraFindings...)
-	findings = append(findings, costFindings...)
+	if rec != nil {
+		staged(an, "intraobj", func() {
+			findings = append(findings, rec.Detect(cfg.IntraObj)...)
+			modeStats = rec.Stats()
+		})
+	}
+	if meta.cost != nil {
+		staged(an, "costmodel", func() {
+			findings = append(findings, detectUncoalesced(t, *meta.cost, cfg.CostModel)...)
+		})
+	}
 
 	var marginal []uint64
 	var advice advisor.Estimate
@@ -427,8 +392,8 @@ func (p *Profiler) analyze() *Report {
 		f.OnPeak = pk.OnPeak(f.Object)
 		f.PeakSavingsBytes = marginal[i]
 		f.Suggestion = pattern.Suggest(t, f)
-		if costOn {
-			attachCycles(t, costSpec, f)
+		if meta.cost != nil {
+			attachCycles(t, *meta.cost, f)
 			f.Severity = severityCycles(f)
 		} else {
 			f.Severity = severity(f)
@@ -444,37 +409,19 @@ func (p *Profiler) analyze() *Report {
 		return findings[i].Pattern < findings[j].Pattern
 	})
 
-	var mc *memcheck.Report
-	if p.checker != nil {
-		mc = p.checker.Report()
-	}
-	anSpan.End()
-
-	rep := &Report{
-		Device:    p.dev.Spec().Name,
+	return &Report{
+		Device:    meta.device,
 		Trace:     t,
 		Graph:     g,
 		Peaks:     pk,
 		Findings:  findings,
-		MemStats:  p.dev.MemStats(),
-		Elapsed:   p.dev.Elapsed(),
+		MemStats:  meta.mem,
+		Elapsed:   meta.cycles,
 		ModeStats: modeStats,
-		Recorder:  p.recorder,
+		Recorder:  rec,
 		WhatIf:    advice,
-		Memcheck:  mc,
+		CostModel: meta.cost,
 	}
-	if costOn {
-		rep.CostModel = &costSpec
-	}
-	if p.window != nil {
-		rep.Heat = p.window.Heat()
-	}
-	if p.obs.Enabled() {
-		p.publishCounters(rep, pk)
-		snap := p.obs.Snapshot()
-		rep.Obs = &snap
-	}
-	return rep
 }
 
 // staged wraps one analysis stage in a span named under the analyze node.
@@ -490,8 +437,8 @@ func staged(an *obs.Node, name string, fn func()) {
 // shared recorders are never double-counted; per-pass quantities (peak
 // candidates, findings per pattern) count each pass, matching how engine
 // aggregation sums passes across runs.
-func (p *Profiler) publishCounters(rep *Report, pk *peak.Analysis) {
-	p.obs.Add(obs.CtrPeakCandidates, uint64(pk.Candidates))
+func (p *Profiler) publishCounters(rep *Report) {
+	p.obs.Add(obs.CtrPeakCandidates, uint64(rep.Peaks.Candidates))
 
 	perPattern := make(map[pattern.Pattern]uint64)
 	for i := range rep.Findings {
@@ -529,28 +476,6 @@ func (p *Profiler) publishCounters(rep *Report, pk *peak.Analysis) {
 			}
 		}
 	}
-}
-
-// runStages executes the given independent analysis stages, concurrently by
-// default or in order under Config.SequentialAnalysis. The first stage runs
-// on the calling goroutine either way.
-func (p *Profiler) runStages(stages ...func()) {
-	if p.cfg.SequentialAnalysis {
-		for _, s := range stages {
-			s()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(stages) - 1)
-	for _, s := range stages[1:] {
-		go func() {
-			defer wg.Done()
-			s()
-		}()
-	}
-	stages[0]()
-	wg.Wait()
 }
 
 // severity ranks findings for report order: wasted bytes scaled by the

@@ -15,14 +15,14 @@ import (
 // StreamingConfig.WindowKernels is unset.
 const DefaultWindowKernels = 16
 
-// StreamingConfig enables incremental, memory-bounded analysis: GPU APIs
-// are grouped into kernel-epoch windows, and when a window closes its raw
+// StreamingConfig enables memory-bounded analysis: GPU APIs are grouped
+// into kernel-epoch windows, and when a window closes its raw
 // per-invocation state — access ranges, run batches, intermediate access
 // events, intra-object bitmaps of freed objects — is folded into compact
 // summaries and retired. Collector resident memory becomes O(open window +
-// summaries) instead of O(full history), Snapshot cost becomes
-// O(delta-since-last-window), and Finish produces a report byte-identical
-// to the offline pipeline (the streaming determinism tests pin this).
+// summaries) instead of O(full history), and Finish produces a report
+// byte-identical to an offline run's (the streaming determinism tests pin
+// this): both read the same arrival-time analysis state.
 type StreamingConfig struct {
 	// Enabled turns streaming windowed analysis on.
 	Enabled bool
@@ -62,21 +62,26 @@ type HeatMap struct {
 	Epochs []HeatEpoch
 }
 
-// windowManager is the streaming ingestion hook: it observes every GPU API
-// after the collector appended it, assigns topological timestamps and
-// evaluates consecutive-access rules at arrival, accumulates per-epoch heat
-// cells, seals the intra-object state of freed objects, and — when a window
-// closes — compacts access lists and retires the window's API records.
-type windowManager struct {
-	t        *trace.Trace
-	recorder *intraobj.Recorder // nil at object-level granularity
-	inc      *depgraph.Incremental
-	acc      *objlevel.Accumulator
+// arrivalHook is the arrival-time analysis hook every profiler registers
+// right after the collector. For each GPU API it assigns the final
+// topological timestamp and feeds each touched object's event to the
+// consecutive-access accumulator, so the dependency and object-level
+// stages have nothing left to walk when a report is built. Under
+// Config.Streaming it also runs the kernel-epoch windows: it accumulates
+// per-epoch heat cells, seals the intra-object state of freed objects, and
+// — when a window closes — compacts access lists and retires the window's
+// API records. Without streaming the trace keeps its full history, which
+// SaveProfile and the GUI access markers need.
+type arrivalHook struct {
+	t   *trace.Trace
+	inc *depgraph.Incremental
+	acc *objlevel.Accumulator
 
+	// The fields below serve streaming only; heat is nil without it.
+	recorder      *intraobj.Recorder // nil at object-level granularity
 	windowKernels int
 	kernels       int    // kernel launches in the open window
 	retired       uint64 // invocation index where the open window starts
-	maxTopo       uint64 // incrementally tracked maximum timestamp
 
 	curCells map[trace.ObjectID]uint64
 	// curExcess/prevExcess difference the collector's cumulative per-object
@@ -89,100 +94,107 @@ type windowManager struct {
 	winNode *obs.Node
 }
 
-var _ gpu.Hook = (*windowManager)(nil)
+var _ gpu.Hook = (*arrivalHook)(nil)
 
-func newWindowManager(t *trace.Trace, rec *intraobj.Recorder, cfg Config) *windowManager {
+func newArrivalHook(t *trace.Trace, rec *intraobj.Recorder, cfg Config) *arrivalHook {
+	h := &arrivalHook{
+		t:   t,
+		inc: depgraph.NewIncremental(),
+		acc: objlevel.NewAccumulator(cfg.ObjLevel),
+	}
+	if !cfg.Streaming.Enabled {
+		return h
+	}
 	wk := cfg.Streaming.WindowKernels
 	if wk <= 0 {
 		wk = DefaultWindowKernels
 	}
-	wm := &windowManager{
-		t:             t,
-		recorder:      rec,
-		inc:           depgraph.NewIncremental(),
-		acc:           objlevel.NewAccumulator(cfg.ObjLevel),
-		windowKernels: wk,
-		curCells:      make(map[trace.ObjectID]uint64),
-		curExcess:     make(map[trace.ObjectID]uint64),
-		prevExcess:    make(map[trace.ObjectID]uint64),
-		heat:          &HeatMap{WindowKernels: wk},
-		obsRec:        cfg.Obs,
-	}
+	h.recorder = rec
+	h.windowKernels = wk
+	h.curCells = make(map[trace.ObjectID]uint64)
+	h.curExcess = make(map[trace.ObjectID]uint64)
+	h.prevExcess = make(map[trace.ObjectID]uint64)
+	h.heat = &HeatMap{WindowKernels: wk}
+	h.obsRec = cfg.Obs
+	// ingest/window is the window layer's span: only streaming runs record
+	// it, so offline observability snapshots carry no window span.
 	if root := cfg.Obs.Root(); root != nil {
-		wm.winNode = root.Child("ingest").Child("window")
+		h.winNode = root.Child("ingest").Child("window")
 	}
-	return wm
+	return h
 }
 
 // OnAPI implements gpu.Hook. It runs after the collector's OnAPI (hook
 // order), so t.APIs[rec.Index] exists, the object touch sets are final, and
 // lifetime endpoints are recorded — everything arrival-time analysis needs.
-func (wm *windowManager) OnAPI(rec *gpu.APIRecord) {
-	sp := wm.winNode.Start()
-	info := wm.t.APIs[rec.Index]
-
-	// Assign the final topological timestamp and fold dependency edges.
-	wm.inc.Observe(wm.t, info)
-	if info.Topo > wm.maxTopo {
-		wm.maxTopo = info.Topo
-	}
-
-	// Feed each touched object's final event to the consecutive-access
-	// accumulator and bump its heat cell.
-	for _, id := range mergeTouched(info.ReadObjs, info.WriteObjs) {
-		o := wm.t.Object(id)
-		if ev := o.LastAccess(); ev != nil && ev.API == rec.Index {
-			wm.acc.Observe(wm.t, id, *ev)
+func (h *arrivalHook) OnAPI(rec *gpu.APIRecord) {
+	sp := h.winNode.Start()
+	info := h.t.APIs[rec.Index]
+	touched := h.inc.Observe(h.t, info)
+	for _, id := range touched {
+		if ev := h.t.Object(id).LastAccess(); ev != nil && ev.API == rec.Index {
+			h.acc.Observe(h.t, id, *ev)
 		}
-		wm.curCells[id]++
+	}
+	if h.heat != nil {
+		h.stream(rec, info, touched)
+	}
+	sp.End()
+}
+
+// OnAccessBatch implements gpu.Hook. Access batches are consumed upstream
+// (collector attribution, intra-object recorder); arrival analysis only
+// acts at API boundaries.
+func (h *arrivalHook) OnAccessBatch(*gpu.APIRecord, []gpu.MemAccess) {}
+
+// stream does the windowing work for one API: bump the heat cells of the
+// touched objects, seal a freed object's intra-object state, and close the
+// window after its last kernel.
+func (h *arrivalHook) stream(rec *gpu.APIRecord, info *trace.APIInfo, touched []trace.ObjectID) {
+	for _, id := range touched {
+		h.curCells[id]++
 		// The collector's OnAPI already folded this kernel's cost into the
 		// object's cumulative counters; differencing against the previous
 		// observation yields this epoch's traffic-waste delta.
 		if rec.Kind == gpu.APIKernel && rec.Cost != nil {
-			if ex := o.Cost.ExcessTransactions(); ex > wm.prevExcess[id] {
-				wm.curExcess[id] += ex - wm.prevExcess[id]
-				wm.prevExcess[id] = ex
+			if ex := h.t.Object(id).Cost.ExcessTransactions(); ex > h.prevExcess[id] {
+				h.curExcess[id] += ex - h.prevExcess[id]
+				h.prevExcess[id] = ex
 			}
 		}
 	}
 
 	switch rec.Kind {
 	case gpu.APIFree:
-		if wm.recorder != nil && info.HasObj {
-			wm.recorder.Seal(int(info.Obj))
-			wm.obsRec.AddNamed(obs.NamedWindowObjectsSealed, 1)
+		if h.recorder != nil && info.HasObj {
+			h.recorder.Seal(int(info.Obj))
+			h.obsRec.AddNamed(obs.NamedWindowObjectsSealed, 1)
 		}
 	case gpu.APIKernel:
-		wm.kernels++
-		if wm.kernels >= wm.windowKernels {
-			wm.closeWindow(rec.Index)
+		h.kernels++
+		if h.kernels >= h.windowKernels {
+			h.closeWindow(rec.Index)
 		}
 	}
-	sp.End()
 }
-
-// OnAccessBatch implements gpu.Hook. Access batches are consumed upstream
-// (collector attribution, intra-object recorder); the window manager only
-// acts at API boundaries.
-func (wm *windowManager) OnAccessBatch(*gpu.APIRecord, []gpu.MemAccess) {}
 
 // closeWindow finalizes the open window ending at invocation index upTo:
 // record its heat epoch, compact the access lists of its touched objects,
 // and retire its API records.
-func (wm *windowManager) closeWindow(upTo uint64) {
+func (h *arrivalHook) closeWindow(upTo uint64) {
 	// A window close is the kernel-epoch merge point for sharded pipelined
 	// ingestion: drain the shard workers and fold their counters before
 	// retiring the window, so seal/retire act on settled per-object state.
-	if wm.recorder != nil {
-		wm.recorder.SyncIngest()
+	if h.recorder != nil {
+		h.recorder.SyncIngest()
 	}
-	cells := make([]HeatCell, 0, len(wm.curCells))
-	for id, n := range wm.curCells {
-		cells = append(cells, HeatCell{Object: id, Touches: n, ExcessTransactions: wm.curExcess[id]})
+	cells := make([]HeatCell, 0, len(h.curCells))
+	for id, n := range h.curCells {
+		cells = append(cells, HeatCell{Object: id, Touches: n, ExcessTransactions: h.curExcess[id]})
 	}
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Object < cells[j].Object })
-	wm.heat.Epochs = append(wm.heat.Epochs, HeatEpoch{
-		FirstAPI: wm.retired,
+	h.heat.Epochs = append(h.heat.Epochs, HeatEpoch{
+		FirstAPI: h.retired,
 		LastAPI:  upTo,
 		Cells:    cells,
 	})
@@ -194,61 +206,33 @@ func (wm *windowManager) closeWindow(upTo uint64) {
 	// preserves; what it needs from an API is identity and timestamp, which
 	// retirement preserves.
 	for i := range cells {
-		wm.t.Object(cells[i].Object).CompactAccesses()
+		h.t.Object(cells[i].Object).CompactAccesses()
 	}
 	retired := uint64(0)
-	for idx := wm.retired; idx <= upTo && idx < uint64(len(wm.t.APIs)); idx++ {
-		if a := wm.t.APIs[idx]; a != nil {
+	for idx := h.retired; idx <= upTo && idx < uint64(len(h.t.APIs)); idx++ {
+		if a := h.t.APIs[idx]; a != nil {
 			a.Retire()
 			retired++
 		}
 	}
-	wm.t.Streamed = true
-	wm.retired = upTo + 1
-	wm.kernels = 0
-	clear(wm.curCells)
-	clear(wm.curExcess)
+	h.t.Streamed = true
+	h.retired = upTo + 1
+	h.kernels = 0
+	clear(h.curCells)
+	clear(h.curExcess)
 
-	wm.obsRec.AddNamed(obs.NamedWindowsClosed, 1)
-	wm.obsRec.AddNamed(obs.NamedWindowAPIsRetired, retired)
+	h.obsRec.AddNamed(obs.NamedWindowsClosed, 1)
+	h.obsRec.AddNamed(obs.NamedWindowAPIsRetired, retired)
 }
 
-// finish closes the trailing partial window. Only Finish calls this —
-// Snapshot must leave the open window open, so interleaved snapshots do not
-// change what Finish reports.
-func (wm *windowManager) finish() {
-	if n := uint64(len(wm.t.APIs)); wm.retired < n {
-		wm.closeWindow(n - 1)
+// finish closes a streaming run's trailing partial window. Only Finish
+// calls this — Snapshot must leave the open window open, so interleaved
+// snapshots do not change what Finish reports.
+func (h *arrivalHook) finish() {
+	if h.heat == nil {
+		return
 	}
-}
-
-// Heat returns the accumulated temporal heat map.
-func (wm *windowManager) Heat() *HeatMap { return wm.heat }
-
-// mergeTouched unions an API's read and write object sets. Each set is
-// duplicate-free but in first-touch order, so this deduplicates by linear
-// scan and sorts ascending for a deterministic visit order.
-func mergeTouched(reads, writes []trace.ObjectID) []trace.ObjectID {
-	if len(writes) == 0 {
-		return reads
+	if n := uint64(len(h.t.APIs)); h.retired < n {
+		h.closeWindow(n - 1)
 	}
-	if len(reads) == 0 {
-		return writes
-	}
-	out := make([]trace.ObjectID, 0, len(reads)+len(writes))
-	out = append(out, reads...)
-	for _, id := range writes {
-		dup := false
-		for _, x := range out {
-			if x == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -3,12 +3,13 @@
 //
 // Single-stream programs execute GPU APIs strictly in invocation order, so
 // invocation indices are already valid timestamps. Multi-stream programs
-// interleave streams; DrGPUM restores a well-defined order by building a
-// DAG whose vertices are GPU APIs and whose edges are (a) intra-stream
-// program order and (b) RAW/WAW/WAR data dependencies on data objects, then
-// running level-synchronous Kahn topological sorting: every vertex whose
-// in-degree reaches zero in the same round receives the same global
-// timestamp T.
+// interleave streams; DrGPUM restores a well-defined order over a DAG whose
+// vertices are GPU APIs and whose edges are (a) intra-stream program order
+// and (b) RAW/WAW/WAR data dependencies on data objects. The paper sorts
+// that DAG with level-synchronous Kahn: every vertex whose in-degree
+// reaches zero in the same round receives the same global timestamp T.
+// Incremental computes the same timestamps at API arrival without
+// materializing the edges; Annotate drives it over a complete trace.
 package depgraph
 
 import (
@@ -48,165 +49,25 @@ func (k EdgeKind) String() string {
 	}
 }
 
-// Edge is one dependency between two GPU APIs (vertex IDs are API
-// invocation indices).
-type Edge struct {
-	From uint64
-	To   uint64
-	Kind EdgeKind
-	// Obj is the data object carrying a data dependency (unset for
-	// intra-stream edges).
-	Obj trace.ObjectID
-}
-
-// Graph is the dependency graph over one trace's GPU APIs.
+// Graph summarizes the dependency graph over one trace's GPU APIs: its
+// vertex count and how many edges of each kind it has. The timestamps the
+// graph induces are written into the trace (APIInfo.Topo).
 type Graph struct {
 	// N is the number of vertices (== number of APIs).
-	N int
-	// Edges lists all dependencies.
-	Edges []Edge
-	// succ and indegree are derived adjacency state used by Sort.
-	succ     [][]uint64
-	indegree []int
-	// histo is the per-kind edge count of a summary graph produced by
-	// Incremental.Graph, which carries no edge list.
-	histo    [4]int
-	hasHisto bool
+	N     int
+	histo [4]int
 }
 
-// Build constructs the dependency graph for a trace per Definition 5.1.
-func Build(t *trace.Trace) *Graph {
-	g := &Graph{N: len(t.APIs)}
-	g.succ = make([][]uint64, g.N)
-	g.indegree = make([]int, g.N)
-
-	// Deduplicate parallel edges (e.g. an API both in program order and in
-	// data dependency with its predecessor); the graph keeps the first.
-	type pair struct{ from, to uint64 }
-	seen := make(map[pair]bool)
-	addEdge := func(from, to uint64, kind EdgeKind, obj trace.ObjectID) {
-		if from == to {
-			return
-		}
-		p := pair{from, to}
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: kind, Obj: obj})
-		g.succ[from] = append(g.succ[from], to)
-		g.indegree[to]++
-	}
-
-	// (1) Intra-stream execution dependencies: immediate successor within
-	// the same stream.
-	lastInStream := make(map[int]uint64)
+// Annotate assigns the topological timestamp of every API of a complete
+// trace — one loaded from a profile, say — by feeding the APIs to a new
+// Incremental in invocation order, and returns it for the graph summary
+// and the largest timestamp.
+func Annotate(t *trace.Trace) *Incremental {
+	inc := NewIncremental()
 	for _, a := range t.APIs {
-		idx := a.Rec.Index
-		if prev, ok := lastInStream[a.Rec.Stream]; ok {
-			addEdge(prev, idx, EdgeIntraStream, 0)
-		}
-		lastInStream[a.Rec.Stream] = idx
+		inc.Observe(t, a)
 	}
-
-	// (2) Data dependencies per object. For each object we walk its event
-	// timeline (alloc, accesses, free) in invocation order and connect:
-	//   - last writer -> each subsequent reader (RAW),
-	//   - last writer -> next writer/free (WAW),
-	//   - each reader  -> next writer/free (WAR).
-	// The allocation API counts as the initial "writer" (it defines the
-	// object), matching "v_i allocates/writes a data object" in Def. 5.1.
-	for _, o := range t.Objects {
-		lastWriter := o.AllocAPI
-		hasWriter := true
-		var readersSinceWrite []uint64
-
-		connectWrite := func(idx uint64) {
-			if hasWriter {
-				addEdge(lastWriter, idx, EdgeWAW, o.ID)
-			}
-			for _, r := range readersSinceWrite {
-				addEdge(r, idx, EdgeWAR, o.ID)
-			}
-			readersSinceWrite = readersSinceWrite[:0]
-			lastWriter = idx
-			hasWriter = true
-		}
-
-		for _, ev := range o.Accesses {
-			// An API that both reads and writes the object (e.g. an
-			// in-place kernel) first depends on prior state (RAW) and then
-			// becomes the new writer (WAW/WAR).
-			if ev.Read {
-				if hasWriter {
-					addEdge(lastWriter, ev.API, EdgeRAW, o.ID)
-				}
-			}
-			if ev.Write {
-				connectWrite(ev.API)
-			} else if ev.Read {
-				readersSinceWrite = append(readersSinceWrite, ev.API)
-			}
-		}
-		if o.Freed() {
-			connectWrite(uint64(o.FreeAPI))
-		}
-	}
-	return g
-}
-
-// Sort runs level-synchronous Kahn topological sorting (paper §5.3 steps
-// 1-5) and returns the timestamp of every vertex: all vertices whose
-// in-degree is zero in the same round share one timestamp T, then T
-// increases by one. The returned slice is indexed by API invocation index.
-//
-// Sort panics if the graph has a cycle, which cannot happen for graphs built
-// from real traces (program order is acyclic and data dependencies follow
-// invocation order).
-func (g *Graph) Sort() []uint64 {
-	topo := make([]uint64, g.N)
-	indeg := make([]int, g.N)
-	copy(indeg, g.indegree)
-
-	frontier := make([]uint64, 0, g.N)
-	for v := 0; v < g.N; v++ {
-		if indeg[v] == 0 {
-			frontier = append(frontier, uint64(v))
-		}
-	}
-
-	var ts uint64
-	visited := 0
-	for len(frontier) > 0 {
-		var next []uint64
-		for _, v := range frontier {
-			topo[v] = ts
-			visited++
-			for _, w := range g.succ[v] {
-				indeg[w]--
-				if indeg[w] == 0 {
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-		ts++
-	}
-	if visited != g.N {
-		panic("depgraph: cycle detected in GPU API dependency graph")
-	}
-	return topo
-}
-
-// Annotate builds the graph for t, sorts it, and writes the topological
-// timestamp into every APIInfo. It returns the graph for inspection.
-func Annotate(t *trace.Trace) *Graph {
-	g := Build(t)
-	topo := g.Sort()
-	for i, a := range t.APIs {
-		a.Topo = topo[i]
-	}
-	return g
+	return inc
 }
 
 // InefficiencyDistance returns the timestamp difference between two APIs —
@@ -220,38 +81,8 @@ func InefficiencyDistance(t *trace.Trace, a, b uint64) uint64 {
 	return ta - tb
 }
 
-// Validate checks that the timestamps in t respect every edge of g (for any
-// edge u->v, Topo[u] < Topo[v]) and that streams remain internally ordered.
-// It returns the first violated edge, or nil. Property tests use this to
-// verify Sort on randomized traces.
-func (g *Graph) Validate(t *trace.Trace) *Edge {
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		if t.APIs[e.From].Topo >= t.APIs[e.To].Topo {
-			return e
-		}
-	}
-	return nil
-}
-
-// kindHisto summarizes edges by kind (used by String).
-func (g *Graph) kindHisto() map[EdgeKind]int {
-	h := make(map[EdgeKind]int)
-	if g.hasHisto {
-		for k, n := range g.histo {
-			h[EdgeKind(k)] = n
-		}
-		return h
-	}
-	for _, e := range g.Edges {
-		h[e.Kind]++
-	}
-	return h
-}
-
 // String summarizes the graph.
 func (g *Graph) String() string {
-	h := g.kindHisto()
 	return fmt.Sprintf("depgraph{vertices: %d, intra-stream: %d, RAW: %d, WAW: %d, WAR: %d}",
-		g.N, h[EdgeIntraStream], h[EdgeRAW], h[EdgeWAW], h[EdgeWAR])
+		g.N, g.histo[EdgeIntraStream], g.histo[EdgeRAW], g.histo[EdgeWAW], g.histo[EdgeWAR])
 }

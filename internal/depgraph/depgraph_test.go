@@ -1,11 +1,13 @@
 package depgraph
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"drgpum/internal/gpu"
+	"drgpum/internal/profile"
 	"drgpum/internal/trace"
 )
 
@@ -30,14 +32,14 @@ func TestSingleStreamOrderIsInvocationOrder(t *testing.T) {
 		})
 		_ = dev.Free(p)
 	})
-	g := Annotate(tr)
+	g := Annotate(tr).Graph()
 	for i, a := range tr.APIs {
 		if a.Topo != uint64(i) {
 			t.Errorf("API %d has topo %d; single-stream order must equal invocation order", i, a.Topo)
 		}
 	}
-	if e := g.Validate(tr); e != nil {
-		t.Errorf("violated edge: %+v", e)
+	if err := matchReference(tr, g); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -73,18 +75,14 @@ func TestFigure4DependencyGraph(t *testing.T) {
 		_ = dev.MemcpyDtoH(out, o3, nil)
 	})
 
-	g := Annotate(tr)
-	if e := g.Validate(tr); e != nil {
-		t.Fatalf("violated edge: %+v", e)
+	g := Annotate(tr).Graph()
+	if err := matchReference(tr, g); err != nil {
+		t.Fatal(err)
 	}
 
 	// Edge-kind inventory.
-	kinds := map[EdgeKind]int{}
-	for _, e := range g.Edges {
-		kinds[e.Kind]++
-	}
-	if kinds[EdgeIntraStream] == 0 || kinds[EdgeRAW] == 0 || kinds[EdgeWAW] == 0 {
-		t.Errorf("edge histogram = %v; want intra-stream, RAW and WAW edges", kinds)
+	if g.histo[EdgeIntraStream] == 0 || g.histo[EdgeRAW] == 0 || g.histo[EdgeWAW] == 0 {
+		t.Errorf("edge histogram = %v; want intra-stream, RAW and WAW edges", g.histo)
 	}
 
 	// The stream-1 copy (5) has no dependence on stream-0 APIs after its
@@ -140,8 +138,9 @@ func TestInefficiencyDistance(t *testing.T) {
 }
 
 func TestDeadlockFreeKahnCoversAllVertices(t *testing.T) {
-	// Random multi-stream programs: Sort must assign every vertex a
-	// timestamp respecting every edge.
+	// Random three-stream programs: Incremental must assign every vertex
+	// the Kahn reference's timestamp, respecting every edge, and count the
+	// reference's edges of each kind.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := buildTrace(func(dev *gpu.Device) {
@@ -181,9 +180,8 @@ func TestDeadlockFreeKahnCoversAllVertices(t *testing.T) {
 				}
 			}
 		})
-		g := Annotate(tr)
-		if e := g.Validate(tr); e != nil {
-			t.Errorf("seed %d: violated edge %+v", seed, e)
+		if err := matchReference(tr, Annotate(tr).Graph()); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
 			return false
 		}
 		// Every API got a timestamp and no timestamp exceeds the count.
@@ -205,8 +203,111 @@ func TestGraphString(t *testing.T) {
 		p, _ := dev.Malloc(64)
 		_ = dev.Free(p)
 	})
-	g := Build(tr)
-	if s := g.String(); s == "" {
-		t.Error("empty graph summary")
+	want := "depgraph{vertices: 2, intra-stream: 1, RAW: 0, WAW: 0, WAR: 0}"
+	if s := Annotate(tr).Graph().String(); s != want {
+		t.Errorf("graph summary = %q, want %q", s, want)
 	}
+}
+
+// arrivalHook feeds Incremental at API arrival, after the collector, the
+// way the profiler's own arrival hook does.
+type arrivalHook struct {
+	t   *trace.Trace
+	inc *Incremental
+}
+
+func (h *arrivalHook) OnAPI(rec *gpu.APIRecord) { h.inc.Observe(h.t, h.t.APIs[rec.Index]) }
+
+func (h *arrivalHook) OnAccessBatch(*gpu.APIRecord, []gpu.MemAccess) {}
+
+// decodeProgram turns fuzz bytes into a three-stream device program. Each
+// byte pair is one operation: the first byte picks the kind (mod 6) and the
+// stream (bits 3-4), the second its argument — a size, or the live buffers
+// it touches (low and high nibble). Kinds: malloc, free, memset, host-to-
+// device copy, device-to-device copy, and a kernel that reads one buffer
+// and writes another, or reads and writes one in place. At most 64
+// operations run.
+func decodeProgram(data []byte) func(dev *gpu.Device) {
+	return func(dev *gpu.Device) {
+		streams := []*gpu.Stream{nil, dev.CreateStream(), dev.CreateStream()}
+		var ptrs []gpu.DevicePtr
+		for ops := 0; len(data) >= 2 && ops < 64; ops++ {
+			op, arg := data[0], data[1]
+			data = data[2:]
+			s := streams[int(op>>3)%3]
+			if op%6 == 0 {
+				if p, err := dev.Malloc(uint64(arg)%256 + 1); err == nil {
+					ptrs = append(ptrs, p)
+				}
+				continue
+			}
+			if len(ptrs) == 0 {
+				continue
+			}
+			i, j := int(arg&15)%len(ptrs), int(arg>>4)%len(ptrs)
+			a, b := ptrs[i], ptrs[j]
+			switch op % 6 {
+			case 1:
+				if dev.Free(a) == nil {
+					ptrs = append(ptrs[:i], ptrs[i+1:]...)
+				}
+			case 2:
+				_ = dev.Memset(a, arg, 1, s)
+			case 3:
+				_ = dev.MemcpyHtoD(a, []byte{arg}, s)
+			case 4:
+				_ = dev.MemcpyDtoD(a, b, 1, s)
+			case 5:
+				_ = dev.LaunchFunc(s, "k", gpu.Dim1(1), gpu.Dim1(1), func(ctx *gpu.ExecContext) {
+					ctx.StoreU8(b, ctx.LoadU8(a)+1)
+				})
+			}
+		}
+	}
+}
+
+// FuzzIncrementalMatchesReference checks Incremental against the Kahn
+// reference on decoded multi-stream programs, twice: live, fed at arrival
+// behind the collector, and replayed by Annotate from the profile the live
+// trace saves to. The seed corpus in testdata/fuzz covers cross-stream
+// copies, in-place kernels, frees with pending readers, interleaved
+// memsets on three streams, and a vertex reached from one source as both
+// a reader (RAW) and a writer (WAR), where the ascending object order
+// decides which kind the deduplicated edge keeps.
+func FuzzIncrementalMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dev := gpu.NewDevice(gpu.SpecTest())
+		c := trace.NewCollector()
+		dev.SetLiveRangesProvider(c.LiveRanges)
+		dev.AddHook(c)
+		hook := &arrivalHook{t: c.Trace(), inc: NewIncremental()}
+		dev.AddHook(hook)
+		dev.SetPatchLevel(gpu.PatchAPI)
+		decodeProgram(data)(dev)
+		live := c.Trace()
+		if err := matchReference(live, hook.inc.Graph()); err != nil {
+			t.Fatalf("live: %v", err)
+		}
+
+		var buf bytes.Buffer
+		if err := profile.Save(live, profile.Meta{}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, _, err := profile.Load(&buf)
+		if err != nil {
+			t.Fatalf("loading the saved trace: %v", err)
+		}
+		g := Annotate(loaded).Graph()
+		if err := matchReference(loaded, g); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if *g != *hook.inc.Graph() {
+			t.Errorf("replay graph %v, live %v", g, hook.inc.Graph())
+		}
+		for i, a := range loaded.APIs {
+			if a.Topo != live.APIs[i].Topo {
+				t.Fatalf("API %d: replay timestamp %d, live %d", i, a.Topo, live.APIs[i].Topo)
+			}
+		}
+	})
 }

@@ -8,9 +8,13 @@ import (
 )
 
 // Incremental assigns topological timestamps at API arrival, producing the
-// exact timestamps Annotate computes offline — without materializing edges.
+// timestamps level-synchronous Kahn sorting of the Definition 5.1 graph
+// would — without materializing edges. It is the only implementation: the
+// profiler's arrival hook feeds it live, and Annotate replays a complete
+// trace through it. The Kahn construction survives as the differential
+// reference in reference_test.go.
 //
-// The equivalence rests on two facts about Build/Sort:
+// The equivalence rests on two facts about that construction:
 //
 //  1. Level-synchronous Kahn assigns each vertex the longest-path level:
 //     topo(v) = max over predecessors u of topo(u)+1, or 0 with no
@@ -18,14 +22,14 @@ import (
 //     index to a higher one, so when v arrives all its predecessors already
 //     carry final timestamps and topo(v) is computable on the spot.
 //
-//  2. Build deduplicates parallel edges globally, keeping the first kind
-//     added in its phase order: all intra-stream edges, then per object in
-//     ascending ID, and within one vertex's event RAW before WAW before the
-//     WARs in reader order. Every edge into vertex v is added while Build
-//     processes v's own event (to == v throughout), so replaying that exact
-//     order per arriving vertex with a per-vertex dedup set keyed by the
-//     source reproduces both the edge set (hence the timestamps) and the
-//     per-kind histogram.
+//  2. The graph deduplicates parallel edges globally, keeping the first
+//     kind added in its phase order: all intra-stream edges, then per
+//     object in ascending ID, and within one vertex's event RAW before WAW
+//     before the WARs in reader order. Every edge into vertex v is added
+//     while v's own event is processed (to == v throughout), so replaying
+//     that exact order per arriving vertex with a per-vertex dedup set
+//     keyed by the source reproduces both the edge set (hence the
+//     timestamps) and the per-kind histogram.
 //
 // Resident state is O(streams + live objects): per-stream last vertex and,
 // per live object, the last writer plus the readers since that write (the
@@ -39,11 +43,13 @@ type Incremental struct {
 	// source vertex (the target is always the current vertex).
 	seen  map[uint64]EdgeKind
 	histo [4]int
+	// maxTopo is the largest timestamp assigned so far.
+	maxTopo uint64
 	// merged is scratch for the sorted union of an API's touch sets.
 	merged []trace.ObjectID
 }
 
-// objDep is the per-object tail state of Build's phase-2 walk.
+// objDep is the per-object tail state of the graph's data-dependency walk.
 type objDep struct {
 	lastWriter        uint64
 	hasWriter         bool
@@ -59,14 +65,20 @@ func NewIncremental() *Incremental {
 	}
 }
 
-// Observe ingests the API at t.APIs[rec.Index], assigns its final
-// topological timestamp, and folds its dependency edges into the histogram.
-// It must be called once per API in invocation order, after the collector
-// appended the APIInfo (so touch sets and lifetime endpoints are final).
-func (inc *Incremental) Observe(t *trace.Trace, info *trace.APIInfo) {
+// Observe ingests the API info, assigns its final topological timestamp,
+// and folds its dependency edges into the histogram. It must be called once
+// per API in invocation order, after the collector appended the APIInfo (so
+// touch sets and lifetime endpoints are final). It returns the union of the
+// API's read and write sets, ascending by ID; the slice is reused by the
+// next call.
+func (inc *Incremental) Observe(t *trace.Trace, info *trace.APIInfo) []trace.ObjectID {
 	idx := info.Rec.Index
 	clear(inc.seen)
 	var topo uint64
+	// The graph visits objects in ascending ID; the touch sets are in
+	// first-touch order, so union and sort them so edge-dedup winners (and
+	// the histogram) match.
+	inc.merged = unionSorted(inc.merged[:0], info.ReadObjs, info.WriteObjs)
 
 	addEdge := func(from uint64, kind EdgeKind) {
 		if from == idx {
@@ -88,7 +100,10 @@ func (inc *Incremental) Observe(t *trace.Trace, info *trace.APIInfo) {
 	}
 	inc.lastInStream[info.Rec.Stream] = idx
 
-	// (2) Data dependencies, exactly Build's per-object tail transitions.
+	// (2) Data dependencies: per object, the last writer feeds each later
+	// reader (RAW) and the next writer or free (WAW), and each reader since
+	// that write feeds the next writer or free (WAR). The allocation counts
+	// as the object's initial writer.
 	connectWrite := func(d *objDep) {
 		if d.hasWriter {
 			addEdge(d.lastWriter, EdgeWAW)
@@ -113,10 +128,6 @@ func (inc *Incremental) Observe(t *trace.Trace, info *trace.APIInfo) {
 		}
 
 	default:
-		// Build visits objects in ascending ID; the touch sets are in
-		// first-touch order, so union and sort them so edge-dedup winners
-		// (and the histogram) match.
-		inc.merged = unionSorted(inc.merged[:0], info.ReadObjs, info.WriteObjs)
 		for _, id := range inc.merged {
 			d := inc.objs[id]
 			if d == nil {
@@ -136,16 +147,20 @@ func (inc *Incremental) Observe(t *trace.Trace, info *trace.APIInfo) {
 	}
 
 	info.Topo = topo
+	if topo > inc.maxTopo {
+		inc.maxTopo = topo
+	}
 	inc.n++
+	return inc.merged
 }
 
-// Graph returns a summary graph carrying the vertex count and the per-kind
-// edge histogram. It has no edge list or adjacency — Sort and Validate are
-// not usable on it — but String renders identically to the offline graph's.
+// MaxTopo returns the largest timestamp assigned so far: the last point of
+// the live-bytes timeline.
+func (inc *Incremental) MaxTopo() uint64 { return inc.maxTopo }
+
+// Graph returns the summary of the graph observed so far.
 func (inc *Incremental) Graph() *Graph {
-	g := &Graph{N: inc.n, hasHisto: true}
-	g.histo = inc.histo
-	return g
+	return &Graph{N: inc.n, histo: inc.histo}
 }
 
 // unionSorted unions two touch sets (each duplicate-free but in first-touch

@@ -12,7 +12,7 @@
 //     worker finished it or in what order. Drivers consume results in
 //     submission order, so every rendered table is byte-identical to
 //     the sequential path (Config.Sequential pins that equivalence in
-//     tests, mirroring core.Config.SequentialAnalysis).
+//     tests).
 //   - Memoized profiles. Untimed runs are cached under their full
 //     configuration (mode, workload, device spec, variant, patch
 //     level, sampling period, memcheck flag) with singleflight

@@ -10,7 +10,7 @@ import (
 // mapIterScope lists the module-relative package prefixes in which report
 // or output construction happens, so map-iteration order there would leak
 // into artifacts that must be byte-identical run to run (the determinism
-// contract behind Config.SequentialAnalysis equivalence; DESIGN.md §4.1).
+// contract of DESIGN.md §4.1).
 var mapIterScope = []string{
 	"internal/core",
 	"internal/advisor",

@@ -2,7 +2,9 @@
 // detectors (paper §3.1, automated by the trace-walking rules of §5.1).
 //
 // All detectors operate on the timestamp-augmented object-level memory
-// access trace. They assert only literal facts of the trace — the paper's
+// access trace. The consecutive-access rules run at access arrival
+// (Accumulator); the rest run once over the trace's lifetime endpoints
+// (Detect). They assert only literal facts of the trace — the paper's
 // no-false-positive guarantee (§5.6) — so a pattern is reported iff its
 // definition holds for the recorded execution.
 package objlevel
@@ -51,34 +53,11 @@ func normalized(cfg Config) Config {
 	return cfg
 }
 
-// Detect runs all seven object-level detectors over an annotated trace
-// (topological timestamps must be assigned) and returns the findings in
-// deterministic order: grouped by object, then by pattern.
-func Detect(t *trace.Trace, cfg Config) []pattern.Finding {
-	cfg = normalized(cfg)
-
-	var out []pattern.Finding
-	for _, o := range t.Objects {
-		if o.PoolSegment {
-			// Pool backing segments are carriers managed by the pool, not
-			// application data objects; their tensors are analyzed instead.
-			continue
-		}
-		var ti, dead []pattern.IdleWindow
-		for i := 1; i < len(o.Accesses); i++ {
-			ti, dead = evalPair(t, cfg, &o.Accesses[i-1], &o.Accesses[i], ti, dead)
-		}
-		out = appendLifetimeFindings(out, t, o, ti, dead)
-	}
-	out = append(out, detectRedundant(t, cfg)...)
-	return out
-}
-
 // evalPair evaluates the consecutive-access rules — temporary idleness
 // (Definition 3.6) and dead write (Definition 3.7) — for one adjacent event
 // pair, appending matched windows. Both rules depend only on the two events
-// and their (final) topological timestamps, which is what lets the streaming
-// Accumulator run them at access arrival and still match the offline walk.
+// and their (final) topological timestamps, which is what lets the
+// Accumulator run them at access arrival.
 func evalPair(t *trace.Trace, cfg Config, prev, cur *trace.AccessEvent, ti, dead []pattern.IdleWindow) ([]pattern.IdleWindow, []pattern.IdleWindow) {
 	// Temporary Idleness: at least X APIs between consecutive accesses.
 	if n := t.Intervening(prev.API, cur.API); n >= cfg.IdlenessThreshold {
@@ -98,8 +77,7 @@ func evalPair(t *trace.Trace, cfg Config, prev, cur *trace.AccessEvent, ti, dead
 // appendLifetimeFindings evaluates the per-object rules of §5.1 for one
 // object — unused allocation, memory leak, early allocation, late
 // deallocation, temporary idleness and dead write — given the pre-evaluated
-// consecutive-pair windows (from the offline walk or the streaming
-// accumulator; both feed evalPair the same pairs).
+// consecutive-pair windows the Accumulator matched.
 func appendLifetimeFindings(out []pattern.Finding, t *trace.Trace, o *trace.Object, windows, deadPairs []pattern.IdleWindow) []pattern.Finding {
 	// Memory Leak: no deallocation API associated with O (Definition 3.5).
 	if !o.Freed() {

@@ -20,7 +20,7 @@ func run(t *testing.T, cfg Config, program func(dev *gpu.Device)) (*trace.Trace,
 	program(dev)
 	tr := c.Trace()
 	depgraph.Annotate(tr)
-	return tr, Detect(tr, cfg)
+	return tr, Detect(tr, Accumulate(tr, cfg))
 }
 
 // findingsOf filters by pattern.
@@ -384,7 +384,7 @@ func TestPoolSegmentsSkipped(t *testing.T) {
 	// reported: its lifecycle belongs to the pool.
 	tr := c.Trace()
 	depgraph.Annotate(tr)
-	fs := Detect(tr, DefaultConfig())
+	fs := Detect(tr, Accumulate(tr, DefaultConfig()))
 	if len(fs) != 0 {
 		t.Errorf("pool segment produced findings: %+v", fs)
 	}

@@ -16,7 +16,7 @@ import (
 // observedRun profiles the named workload with self-observability enabled
 // and returns the report's stats text and GUI export bytes — the two
 // obs-bearing sinks that must be byte-identical across runs.
-func observedRun(t *testing.T, name string, sequential bool) (stats, guiJSON []byte) {
+func observedRun(t *testing.T, name string) (stats, guiJSON []byte) {
 	t.Helper()
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -25,7 +25,6 @@ func observedRun(t *testing.T, name string, sequential bool) (stats, guiJSON []b
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	cfg := core.IntraObjectConfig()
 	cfg.KernelWhitelist = w.IntraKernels
-	cfg.SequentialAnalysis = sequential
 	cfg.Obs = obs.New()
 	prof := core.Attach(dev, cfg)
 	if err := w.Run(dev, prof, workloads.VariantNaive); err != nil {
@@ -43,26 +42,19 @@ func observedRun(t *testing.T, name string, sequential bool) (stats, guiJSON []b
 }
 
 // TestObsOutputDeterminism pins that the self-observability sinks carry no
-// clock- or scheduling-derived bytes: two runs of the same workload — and
-// a sequential-analysis run of it — produce byte-identical Report.Stats
-// text and byte-identical GUI exports (obs track included).
+// clock- or scheduling-derived bytes: two runs of the same workload produce
+// byte-identical Report.Stats text and byte-identical GUI exports (obs
+// track included).
 func TestObsOutputDeterminism(t *testing.T) {
 	for _, name := range []string{"simplemulticopy", "rodinia/huffman"} {
 		t.Run(name, func(t *testing.T) {
-			stats1, gui1 := observedRun(t, name, false)
-			stats2, gui2 := observedRun(t, name, false)
+			stats1, gui1 := observedRun(t, name)
+			stats2, gui2 := observedRun(t, name)
 			if !bytes.Equal(stats1, stats2) {
 				t.Errorf("two runs' stats differ:\n--- first\n%s--- second\n%s", stats1, stats2)
 			}
 			if !bytes.Equal(gui1, gui2) {
 				t.Errorf("two runs' GUI exports differ (%d vs %d bytes)", len(gui1), len(gui2))
-			}
-			statsSeq, guiSeq := observedRun(t, name, true)
-			if !bytes.Equal(stats1, statsSeq) {
-				t.Errorf("concurrent and sequential analysis stats differ:\n--- parallel\n%s--- sequential\n%s", stats1, statsSeq)
-			}
-			if !bytes.Equal(gui1, guiSeq) {
-				t.Errorf("concurrent and sequential GUI exports differ (%d vs %d bytes)", len(gui1), len(guiSeq))
 			}
 		})
 	}

@@ -35,17 +35,10 @@ type Analysis struct {
 	onPeak map[trace.ObjectID]bool
 }
 
-// Analyze mines the top-K memory peaks of an annotated trace. The paper's
-// default reports the top two peaks (K=2, user-tunable).
-func Analyze(t *trace.Trace, topK int) *Analysis {
-	return AnalyzeTimeline(t, topK, t.LiveBytesTimeline())
-}
-
-// AnalyzeTimeline is Analyze over a caller-supplied live-bytes timeline.
-// The streaming profiler materializes the curve via LiveBytesTimelineTo
-// (bounded by the incrementally tracked maximum timestamp) and mines it
-// through this exact code path, so streaming and offline peak reports are
-// byte-identical by construction.
+// AnalyzeTimeline mines the top-K memory peaks of an annotated trace from
+// its live-bytes timeline (Trace.LiveBytesTimelineTo, bounded by the
+// largest timestamp the dependency pass assigned). The paper's default
+// reports the top two peaks (K=2, user-tunable); topK <= 0 selects it.
 func AnalyzeTimeline(t *trace.Trace, topK int, timeline []uint64) *Analysis {
 	if topK <= 0 {
 		topK = 2
@@ -105,7 +98,7 @@ func AnalyzeTimeline(t *trace.Trace, topK int, timeline []uint64) *Analysis {
 		p := Peak{Topo: c.topo, Bytes: c.bytes}
 		for _, o := range t.Objects {
 			if o.PoolSegment {
-				continue // consistent with LiveBytesTimeline
+				continue // consistent with LiveBytesTimelineTo
 			}
 			if liveAt(t, o, c.topo) {
 				p.Live = append(p.Live, o.ID)
@@ -125,7 +118,7 @@ func AnalyzeTimeline(t *trace.Trace, topK int, timeline []uint64) *Analysis {
 }
 
 // liveAt reports whether object o is live at topological timestamp ts,
-// consistent with Trace.LiveBytesTimeline (alloc inclusive, free exclusive).
+// consistent with Trace.LiveBytesTimelineTo (alloc inclusive, free exclusive).
 func liveAt(t *trace.Trace, o *trace.Object, ts uint64) bool {
 	if t.API(o.AllocAPI).Topo > ts {
 		return false

@@ -21,6 +21,15 @@ func build(program func(dev *gpu.Device)) *trace.Trace {
 	return tr
 }
 
+// analyze mines the trace's full live-bytes timeline.
+func analyze(tr *trace.Trace, topK int) *Analysis {
+	var maxTopo uint64
+	for _, a := range tr.APIs {
+		maxTopo = max(maxTopo, a.Topo)
+	}
+	return AnalyzeTimeline(tr, topK, tr.LiveBytesTimelineTo(maxTopo))
+}
+
 func TestTwoPeaksIdentified(t *testing.T) {
 	tr := build(func(dev *gpu.Device) {
 		// Peak 1: a+b live (768 bytes), then dip, then peak 2: c (1024).
@@ -31,7 +40,7 @@ func TestTwoPeaksIdentified(t *testing.T) {
 		c, _ := dev.Malloc(1024)
 		_ = dev.Free(c)
 	})
-	an := Analyze(tr, 2)
+	an := analyze(tr, 2)
 	if len(an.Peaks) != 2 {
 		t.Fatalf("peaks = %+v", an.Peaks)
 	}
@@ -62,7 +71,7 @@ func TestTopKLimit(t *testing.T) {
 			_ = dev.Free(p)
 		}
 	})
-	an := Analyze(tr, 2)
+	an := analyze(tr, 2)
 	if len(an.Peaks) != 2 {
 		t.Fatalf("topK not applied: %d peaks", len(an.Peaks))
 	}
@@ -78,7 +87,7 @@ func TestPlateauReportedOnce(t *testing.T) {
 		_ = dev.Memset(p, 1, 512, nil)
 		_ = dev.Free(p)
 	})
-	an := Analyze(tr, 4)
+	an := analyze(tr, 4)
 	if len(an.Peaks) != 1 {
 		t.Fatalf("plateau produced %d peaks: %+v", len(an.Peaks), an.Peaks)
 	}
@@ -93,7 +102,7 @@ func TestMonotonicGrowthSinglePeak(t *testing.T) {
 		_, _ = dev.Malloc(256)
 		_, _ = dev.Malloc(256)
 	})
-	an := Analyze(tr, 2)
+	an := analyze(tr, 2)
 	if len(an.Peaks) != 1 || an.Peaks[0].Bytes != 768 {
 		t.Fatalf("peaks = %+v", an.Peaks)
 	}
@@ -101,7 +110,7 @@ func TestMonotonicGrowthSinglePeak(t *testing.T) {
 
 func TestEmptyTrace(t *testing.T) {
 	tr := build(func(dev *gpu.Device) {})
-	an := Analyze(tr, 2)
+	an := analyze(tr, 2)
 	if len(an.Peaks) != 0 || an.PeakBytes != 0 {
 		t.Errorf("empty trace analysis = %+v", an)
 	}
@@ -114,7 +123,7 @@ func TestDefaultTopK(t *testing.T) {
 			_ = dev.Free(p)
 		}
 	})
-	an := Analyze(tr, 0) // 0 selects the paper's default of 2
+	an := analyze(tr, 0) // 0 selects the paper's default of 2
 	if len(an.Peaks) != 2 {
 		t.Errorf("default topK = %d peaks", len(an.Peaks))
 	}

@@ -6,12 +6,13 @@
 // the application.
 //
 // The format is versioned JSON. It captures everything the object-level
-// detectors, peak analyzer and GUI need: API records (kind, stream,
-// sequence, sizes, timing), object lifetimes with their access event lists,
-// and resolved call-path frames. Intra-object access maps are an online
-// structure and are not serialized; a loaded profile supports object-level
-// re-analysis only (the same asymmetry the paper's tool has: intra-object
-// results are produced during the run).
+// detectors, peak analyzer, cost-model pricing and GUI need: API records
+// (kind, stream, sequence, sizes, timing), object lifetimes with their
+// access event lists and cost-model attribution, the run's cost-model spec
+// and device capacity, and resolved call-path frames. Intra-object access
+// maps are an online structure and are not serialized; a loaded profile
+// supports object-level re-analysis only (the same asymmetry the paper's
+// tool has: intra-object results are produced during the run).
 package profile
 
 import (
@@ -20,12 +21,14 @@ import (
 	"io"
 
 	"drgpum/internal/callpath"
+	"drgpum/internal/costmodel"
 	"drgpum/internal/gpu"
 	"drgpum/internal/trace"
 )
 
-// FormatVersion is bumped on breaking changes to the file layout.
-const FormatVersion = 1
+// FormatVersion is bumped on breaking changes to the file layout. Files of
+// any other version are rejected.
+const FormatVersion = 2
 
 // File is the serialized profile.
 type File struct {
@@ -35,6 +38,11 @@ type File struct {
 	Cycles uint64 `json:"cycles"`
 	// PeakBytes is the device allocator's high-water mark.
 	PeakBytes uint64 `json:"peak_bytes"`
+	// Capacity is the device memory capacity.
+	Capacity uint64 `json:"capacity"`
+	// CostModel is the cost-model spec the run priced findings with;
+	// absent when the model was off.
+	CostModel *specJSON `json:"cost_model,omitempty"`
 
 	APIs    []apiJSON             `json:"apis"`
 	Objects []objectJSON          `json:"objects"`
@@ -69,6 +77,64 @@ type objectJSON struct {
 	Pool        bool        `json:"pool,omitempty"`
 	PoolSegment bool        `json:"pool_segment,omitempty"`
 	Accesses    []eventJSON `json:"accesses,omitempty"`
+	// Cost and CostByKernel are the object's cost-model attribution
+	// (absent when the model was off or no kernel touched the object).
+	Cost         *costJSON           `json:"cost,omitempty"`
+	CostByKernel map[string]costJSON `json:"cost_by_kernel,omitempty"`
+}
+
+// costJSON is one costmodel.ObjectCost; the two convert into each other.
+type costJSON struct {
+	Accesses          uint64 `json:"accesses"`
+	Warps             uint64 `json:"warps"`
+	Transactions      uint64 `json:"transactions"`
+	IdealTransactions uint64 `json:"ideal_transactions"`
+	L1Hits            uint64 `json:"l1_hits"`
+	L2Hits            uint64 `json:"l2_hits"`
+	MemTransactions   uint64 `json:"mem_transactions"`
+	ModeledCycles     uint64 `json:"modeled_cycles"`
+}
+
+// specJSON is one costmodel.Spec; the two convert into each other.
+type specJSON struct {
+	SectorBytes       uint64 `json:"sector_bytes"`
+	LineBytes         uint64 `json:"line_bytes"`
+	WarpSize          int    `json:"warp_size"`
+	L1Sets            int    `json:"l1_sets"`
+	L1Ways            int    `json:"l1_ways"`
+	L2Sets            int    `json:"l2_sets"`
+	L2Ways            int    `json:"l2_ways"`
+	L1HitCycles       uint64 `json:"l1_hit_cycles"`
+	L2HitCycles       uint64 `json:"l2_hit_cycles"`
+	DRAMCycles        uint64 `json:"dram_cycles"`
+	TLBEntries        int    `json:"tlb_entries"`
+	PageBytes         uint64 `json:"page_bytes"`
+	TLBMissCycles     uint64 `json:"tlb_miss_cycles"`
+	CopyBytesPerCycle uint64 `json:"copy_bytes_per_cycle"`
+	MallocCycles      uint64 `json:"malloc_cycles"`
+	FreeCycles        uint64 `json:"free_cycles"`
+}
+
+// spec converts back, rejecting parameters the model cannot represent or
+// that would zero out its closed forms: the geometry must be powers of two
+// (sectors, lines, sets, pages) or at least one (warp, ways, TLB entries),
+// a line must hold at least one sector, and every latency must be non-zero.
+func (j *specJSON) spec() (costmodel.Spec, error) {
+	s := costmodel.Spec(*j)
+	pow2 := func(v uint64) bool { return v != 0 && v&(v-1) == 0 }
+	switch {
+	case !pow2(s.SectorBytes) || !pow2(s.LineBytes) || s.LineBytes < s.SectorBytes:
+		return s, fmt.Errorf("profile: cost model sector/line geometry %d/%d is not two powers of two with line >= sector",
+			s.SectorBytes, s.LineBytes)
+	case s.L1Sets < 1 || !pow2(uint64(s.L1Sets)) || s.L2Sets < 1 || !pow2(uint64(s.L2Sets)) || !pow2(s.PageBytes):
+		return s, fmt.Errorf("profile: cost model set counts %d/%d or page size %d not a power of two",
+			s.L1Sets, s.L2Sets, s.PageBytes)
+	case s.WarpSize < 1 || s.L1Ways < 1 || s.L2Ways < 1 || s.TLBEntries < 1:
+		return s, fmt.Errorf("profile: cost model warp size, ways or TLB entries below 1")
+	case s.L1HitCycles == 0 || s.L2HitCycles == 0 || s.DRAMCycles == 0 || s.TLBMissCycles == 0:
+		return s, fmt.Errorf("profile: cost model latency of zero cycles")
+	}
+	return s, nil
 }
 
 // eventJSON is one access event.
@@ -91,6 +157,10 @@ type Meta struct {
 	Device    string
 	Cycles    uint64
 	PeakBytes uint64
+	Capacity  uint64
+	// CostModel is the spec the run priced findings with, or nil when the
+	// cost model was off.
+	CostModel *costmodel.Spec
 }
 
 // Save writes the trace as a profile file. The trace's Unwinder must be the
@@ -102,7 +172,12 @@ func Save(t *trace.Trace, meta Meta, w io.Writer) error {
 		Device:    meta.Device,
 		Cycles:    meta.Cycles,
 		PeakBytes: meta.PeakBytes,
+		Capacity:  meta.Capacity,
 		Paths:     map[uint32][]pathJSON{},
+	}
+	if meta.CostModel != nil {
+		spec := specJSON(*meta.CostModel)
+		f.CostModel = &spec
 	}
 
 	// Only referenced paths are written; resolving through the interface
@@ -157,6 +232,16 @@ func Save(t *trace.Trace, meta Meta, w io.Writer) error {
 				API: ev.API, Kind: uint8(ev.APIKind), Read: ev.Read, Write: ev.Write,
 			})
 		}
+		if o.Cost != (costmodel.ObjectCost{}) {
+			c := costJSON(o.Cost)
+			oj.Cost = &c
+		}
+		for k, c := range o.CostByKernel {
+			if oj.CostByKernel == nil {
+				oj.CostByKernel = make(map[string]costJSON, len(o.CostByKernel))
+			}
+			oj.CostByKernel[k] = costJSON(c)
+		}
 		f.Objects = append(f.Objects, oj)
 	}
 
@@ -164,8 +249,12 @@ func Save(t *trace.Trace, meta Meta, w io.Writer) error {
 	return enc.Encode(&f)
 }
 
-// Load reads a profile file back into a trace (topological timestamps are
-// not stored; run depgraph.Annotate before detection) plus its metadata.
+// Load reads a profile file back into a trace plus its metadata. The file
+// is untrusted input: anything that a collected trace could not contain is
+// rejected. Each API's touch sets and lifetime subject are rebuilt from the
+// object records, so the trace has the shape the collector builds; the
+// topological timestamps are not stored (run depgraph.Annotate before
+// detection).
 func Load(r io.Reader) (*trace.Trace, Meta, error) {
 	var f File
 	dec := json.NewDecoder(r)
@@ -174,6 +263,15 @@ func Load(r io.Reader) (*trace.Trace, Meta, error) {
 	}
 	if f.Version != FormatVersion {
 		return nil, Meta{}, fmt.Errorf("profile: unsupported version %d (want %d)", f.Version, FormatVersion)
+	}
+
+	meta := Meta{Device: f.Device, Cycles: f.Cycles, PeakBytes: f.PeakBytes, Capacity: f.Capacity}
+	if f.CostModel != nil {
+		spec, err := f.CostModel.spec()
+		if err != nil {
+			return nil, Meta{}, err
+		}
+		meta.CostModel = &spec
 	}
 
 	paths := make(map[callpath.PathID][]callpath.Frame, len(f.Paths))
@@ -212,6 +310,22 @@ func Load(r io.Reader) (*trace.Trace, Meta, error) {
 		if oj.AllocAPI >= nAPIs || (oj.FreeAPI != trace.NoAPI && uint64(oj.FreeAPI) >= nAPIs) {
 			return nil, Meta{}, fmt.Errorf("profile: object %d references missing APIs", i)
 		}
+		// Each lifetime endpoint is the subject of its own Malloc or Free
+		// API, as the collector records it; replay derives the API's
+		// subject object from these fields.
+		id := trace.ObjectID(i)
+		alloc := t.APIs[oj.AllocAPI]
+		if alloc.Rec.Kind != gpu.APIMalloc || alloc.HasObj {
+			return nil, Meta{}, fmt.Errorf("profile: object %d allocated by API %d, which is not a free Malloc API", i, oj.AllocAPI)
+		}
+		alloc.Obj, alloc.HasObj = id, true
+		if oj.FreeAPI != trace.NoAPI {
+			free := t.APIs[oj.FreeAPI]
+			if free.Rec.Kind != gpu.APIFree || free.HasObj {
+				return nil, Meta{}, fmt.Errorf("profile: object %d freed by API %d, which is not a free Free API", i, oj.FreeAPI)
+			}
+			free.Obj, free.HasObj = id, true
+		}
 		// Semantic invariants of a real trace — without them the lifetime
 		// events would put cycles into the dependency graph: deallocation
 		// strictly after allocation, accesses strictly increasing and
@@ -248,12 +362,33 @@ func Load(r io.Reader) (*trace.Trace, Meta, error) {
 			if ev.API >= nAPIs {
 				return nil, Meta{}, fmt.Errorf("profile: object %d access references missing API %d", i, ev.API)
 			}
+			// The collector records an event only for a read or write by
+			// a copy, set or kernel, tagged with that API's kind.
+			api := t.APIs[ev.API]
+			if kind := api.Rec.Kind; uint8(kind) != ev.Kind || kind == gpu.APIMalloc || kind == gpu.APIFree || !(ev.Read || ev.Write) {
+				return nil, Meta{}, fmt.Errorf("profile: object %d access at API %d is not a read or write of that API's kind", i, ev.API)
+			}
+			if ev.Read {
+				api.ReadObjs = append(api.ReadObjs, id)
+			}
+			if ev.Write {
+				api.WriteObjs = append(api.WriteObjs, id)
+			}
 			o.Accesses = append(o.Accesses, trace.AccessEvent{
 				API: ev.API, APIKind: gpu.APIKind(ev.Kind), Read: ev.Read, Write: ev.Write,
 			})
 		}
+		if oj.Cost != nil {
+			o.Cost = costmodel.ObjectCost(*oj.Cost)
+		}
+		for k, c := range oj.CostByKernel {
+			if o.CostByKernel == nil {
+				o.CostByKernel = make(map[string]costmodel.ObjectCost, len(oj.CostByKernel))
+			}
+			o.CostByKernel[k] = costmodel.ObjectCost(c)
+		}
 		t.Objects = append(t.Objects, o)
 	}
 
-	return t, Meta{Device: f.Device, Cycles: f.Cycles, PeakBytes: f.PeakBytes}, nil
+	return t, meta, nil
 }

@@ -155,16 +155,53 @@ func TestLoadRejectsCorruptProfiles(t *testing.T) {
 	if _, _, err := profile.Load(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("future version accepted")
 	}
-	// An object referencing a missing API.
-	bad := `{"version":1,"apis":[],"objects":[{"ptr":1,"size":8,"alloc_api":5,"free_api":-1}]}`
-	if _, _, err := profile.Load(strings.NewReader(bad)); err == nil {
-		t.Error("dangling API reference accepted")
+	if _, _, err := profile.Load(strings.NewReader(`{"version": 1}`)); err == nil {
+		t.Error("version-1 profile accepted")
 	}
-	// An access referencing a missing API.
-	bad2 := `{"version":1,"apis":[{"index":0,"kind":0,"name":"cudaMalloc"}],` +
-		`"objects":[{"ptr":1,"size":8,"alloc_api":0,"free_api":-1,"accesses":[{"api":7,"kind":4}]}]}`
-	if _, _, err := profile.Load(strings.NewReader(bad2)); err == nil {
-		t.Error("dangling access reference accepted")
+	const spec = `"sector_bytes":32,"line_bytes":128,"warp_size":32,"l1_sets":64,"l1_ways":4,` +
+		`"l2_sets":256,"l2_ways":8,"l1_hit_cycles":36,"l2_hit_cycles":146,"dram_cycles":440,` +
+		`"tlb_entries":16,"page_bytes":65536,"tlb_miss_cycles":220,"copy_bytes_per_cycle":16`
+	for _, c := range []struct{ name, doc string }{
+		{"dangling API reference",
+			`{"version":2,"apis":[],"objects":[{"ptr":1,"size":8,"alloc_api":5,"free_api":-1}]}`},
+		{"dangling access reference",
+			`{"version":2,"apis":[{"index":0,"kind":0,"name":"cudaMalloc"}],` +
+				`"objects":[{"ptr":1,"size":8,"alloc_api":0,"free_api":-1,"accesses":[{"api":7,"kind":4}]}]}`},
+		{"allocation by a kernel",
+			`{"version":2,"apis":[{"index":0,"kind":4,"name":"k"}],` +
+				`"objects":[{"ptr":1,"size":8,"alloc_api":0,"free_api":-1}]}`},
+		{"free by a copy",
+			`{"version":2,"apis":[{"index":0,"kind":0,"name":"cudaMalloc"},{"index":1,"kind":2,"name":"cudaMemcpy"}],` +
+				`"objects":[{"ptr":1,"size":8,"alloc_api":0,"free_api":1}]}`},
+		{"shared allocation API",
+			`{"version":2,"apis":[{"index":0,"kind":0,"name":"cudaMalloc"}],` +
+				`"objects":[{"ptr":1,"size":8,"alloc_api":0,"free_api":-1},{"ptr":9,"size":8,"alloc_api":0,"free_api":-1}]}`},
+		{"shared free API",
+			`{"version":2,"apis":[{"index":0,"kind":0,"name":"cudaMalloc"},{"index":1,"kind":0,"name":"cudaMalloc"},` +
+				`{"index":2,"kind":1,"name":"cudaFree"}],"objects":[{"ptr":1,"size":8,"alloc_api":0,"free_api":2},` +
+				`{"ptr":9,"size":8,"alloc_api":1,"free_api":2}]}`},
+		{"access on a lifetime API",
+			`{"version":2,"apis":[{"index":0,"kind":0,"name":"cudaMalloc"},{"index":1,"kind":0,"name":"cudaMalloc"}],` +
+				`"objects":[{"ptr":1,"size":8,"alloc_api":0,"free_api":-1,"accesses":[{"api":1,"kind":0,"w":true}]}]}`},
+		{"access of another API's kind",
+			`{"version":2,"apis":[{"index":0,"kind":0,"name":"cudaMalloc"},{"index":1,"kind":4,"name":"k"}],` +
+				`"objects":[{"ptr":1,"size":8,"alloc_api":0,"free_api":-1,"accesses":[{"api":1,"kind":3,"w":true}]}]}`},
+		{"zero cost-model latency",
+			`{"version":2,"cost_model":{` + strings.Replace(spec, `"dram_cycles":440`, `"dram_cycles":0`, 1) + `}}`},
+		{"non-power-of-two sector",
+			`{"version":2,"cost_model":{` + strings.Replace(spec, `"sector_bytes":32`, `"sector_bytes":24`, 1) + `}}`},
+		{"zero L2 sets",
+			`{"version":2,"cost_model":{` + strings.Replace(spec, `"l2_sets":256`, `"l2_sets":0`, 1) + `}}`},
+		{"line smaller than sector",
+			`{"version":2,"cost_model":{` + strings.Replace(spec, `"line_bytes":128`, `"line_bytes":16`, 1) + `}}`},
+	} {
+		if _, _, err := profile.Load(strings.NewReader(c.doc)); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	// The valid spec those documents perturb loads.
+	if _, meta, err := profile.Load(strings.NewReader(`{"version":2,"cost_model":{` + spec + `}}`)); err != nil || meta.CostModel == nil {
+		t.Errorf("valid cost-model spec: meta %+v, err %v", meta, err)
 	}
 }
 

@@ -397,18 +397,68 @@ func TestAllWorkloadReportsRender(t *testing.T) {
 			if err := rep.SaveProfile(&buf); err != nil {
 				t.Errorf("SaveProfile: %v", err)
 			}
-			rep2, err := core.AnalyzeProfile(bytes.NewReader(buf.Bytes()), core.DefaultConfig())
-			if err != nil {
+			if _, err := core.AnalyzeProfile(bytes.NewReader(buf.Bytes()), core.DefaultConfig()); err != nil {
 				t.Fatalf("AnalyzeProfile: %v", err)
 			}
-			// Object-level pattern sets agree between live and re-analyzed
-			// profiles (intra-object findings are online-only).
-			for _, p := range rep2.PatternSet() {
-				if !rep.HasPattern(p) {
-					t.Errorf("re-analysis invented pattern %s", p)
-				}
-			}
 		})
+	}
+}
+
+// TestReplayMatchesLive pins the live-vs-replay identity contract: for every
+// program, bundled and extra, both variants, at object level with the cost
+// model on and off, re-analyzing the saved profile under the live run's
+// configuration yields a report whose JSON and verbose text are
+// byte-identical to the live report's. (Intra-object findings are
+// online-only, so the contract is stated at object level.)
+func TestReplayMatchesLive(t *testing.T) {
+	programs := append(workloads.All(), workloads.Extras()...)
+	for _, w := range programs {
+		for _, v := range []workloads.Variant{workloads.VariantNaive, workloads.VariantOptimized} {
+			for _, costOff := range []bool{false, true} {
+				cost := "cost-on"
+				if costOff {
+					cost = "cost-off"
+				}
+				t.Run(w.Name+"/"+v.String()+"/"+cost, func(t *testing.T) {
+					cfg := core.DefaultConfig()
+					cfg.CostModel.Disabled = costOff
+					dev := gpu.NewDevice(gpu.SpecRTX3090())
+					prof := core.Attach(dev, cfg)
+					if err := w.Run(dev, prof, v); err != nil {
+						t.Fatal(err)
+					}
+					live := prof.Finish()
+					var saved bytes.Buffer
+					if err := live.SaveProfile(&saved); err != nil {
+						t.Fatal(err)
+					}
+					replay, err := core.AnalyzeProfile(&saved, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (live.CostModel == nil) != costOff {
+						t.Fatalf("live cost model = %v with Disabled = %v", live.CostModel, costOff)
+					}
+					liveJS, err := live.MarshalJSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					replayJS, err := replay.MarshalJSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(liveJS, replayJS) {
+						t.Errorf("replay JSON differs from live:\n--- live\n%s\n--- replay\n%s", liveJS, replayJS)
+					}
+					var liveTxt, replayTxt strings.Builder
+					live.Render(&liveTxt, true)
+					replay.Render(&replayTxt, true)
+					if liveTxt.String() != replayTxt.String() {
+						t.Errorf("replay text differs from live:\n--- live\n%s\n--- replay\n%s", liveTxt.String(), replayTxt.String())
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ func TestCollectorPoolSegment(t *testing.T) {
 	for _, a := range tr.APIs {
 		a.Topo = a.Rec.Index
 	}
-	tl := tr.LiveBytesTimeline()
+	tl := tr.LiveBytesTimelineTo(uint64(len(tr.APIs) - 1))
 	var maxBytes uint64
 	for _, v := range tl {
 		if v > maxBytes {
@@ -202,7 +202,7 @@ func TestLiveBytesTimeline(t *testing.T) {
 	for _, api := range tr.APIs {
 		api.Topo = api.Rec.Index
 	}
-	tl := tr.LiveBytesTimeline()
+	tl := tr.LiveBytesTimelineTo(3)
 	want := []uint64{100, 300, 200, 0}
 	if len(tl) != len(want) {
 		t.Fatalf("timeline = %v", tl)

@@ -246,23 +246,12 @@ func (t *Trace) Intervening(a, b uint64) int {
 	return int(tb - ta - 1)
 }
 
-// LiveBytesTimeline returns, for each topological timestamp 0..maxTopo, the
-// number of device bytes live after all APIs at that timestamp executed.
-// This is the curve the offline analyzer mines for memory peaks (paper §4).
-func (t *Trace) LiveBytesTimeline() []uint64 {
-	var maxTopo uint64
-	for _, a := range t.APIs {
-		if a.Topo > maxTopo {
-			maxTopo = a.Topo
-		}
-	}
-	return t.LiveBytesTimelineTo(maxTopo)
-}
-
-// LiveBytesTimelineTo is LiveBytesTimeline with the final timestamp supplied
-// by the caller. The streaming window manager tracks the maximum topological
-// timestamp incrementally at API arrival, so a snapshot can materialize the
-// curve without rescanning every API.
+// LiveBytesTimelineTo returns, for each topological timestamp 0..maxTopo,
+// the number of device bytes live after all APIs at that timestamp
+// executed. This is the curve the offline analyzer mines for memory peaks
+// (paper §4). The caller supplies the final timestamp: the dependency pass
+// tracks it as it assigns timestamps, so the curve needs no rescan of the
+// APIs.
 func (t *Trace) LiveBytesTimelineTo(maxTopo uint64) []uint64 {
 	deltas := make([]int64, maxTopo+2)
 	for _, o := range t.Objects {
