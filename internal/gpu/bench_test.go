@@ -54,8 +54,43 @@ func BenchmarkKernelAccessNative(b *testing.B)      { kernelAccessBench(b, Patch
 func BenchmarkKernelAccessObjectLvl(b *testing.B)   { kernelAccessBench(b, PatchAPI) }
 func BenchmarkKernelAccessIntraObject(b *testing.B) { kernelAccessBench(b, PatchFull) }
 
-// BenchmarkHitFlagLookup isolates the device-side binary search of the
-// Figure 5 scheme across many live objects.
+// BenchmarkKernelAccessInterleaved runs the s[j] += A[i][j]*r[i] shape of
+// bicg-like kernels: every inner iteration reads A[i][j] and r[i] and
+// reads and writes s[j], so consecutive accesses cycle through three
+// objects and a shortcut that remembers only the previous access's row
+// misses on three accesses of four.
+func BenchmarkKernelAccessInterleaved(b *testing.B) {
+	for _, level := range []PatchLevel{PatchNone, PatchAPI} {
+		b.Run(level.String(), func(b *testing.B) {
+			dev := NewDevice(SpecTest())
+			if level != PatchNone {
+				dev.AddHook(&recordingHook{})
+			}
+			dev.SetPatchLevel(level)
+			const n = 64
+			a, _ := dev.Malloc(n * n * 4)
+			r, _ := dev.Malloc(n * 4)
+			s, _ := dev.Malloc(n * 4)
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				_ = dev.LaunchFunc(nil, "interleaved", Dim1(1), Dim1(n), func(ctx *ExecContext) {
+					for i := 0; i < n; i++ {
+						for j := 0; j < n; j++ {
+							sj := s + DevicePtr(4*j)
+							v := ctx.LoadF32(a+DevicePtr(4*(i*n+j))) * ctx.LoadF32(r+DevicePtr(4*i))
+							ctx.StoreF32(sj, ctx.LoadF32(sj)+v)
+						}
+					}
+				})
+			}
+			b.ReportMetric(4*n*n, "accesses/op")
+		})
+	}
+}
+
+// BenchmarkHitFlagLookup measures the resolution cache's all-miss path:
+// 512 live objects and a scatter that visits every one of them before it
+// revisits any, so every access binary-searches the hit table.
 func BenchmarkHitFlagLookup(b *testing.B) {
 	dev := NewDevice(DeviceSpec{Name: "bench", MemoryCapacity: 64 << 20, Alignment: 256,
 		CopyBytesPerCycle: 100})

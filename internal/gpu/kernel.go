@@ -33,11 +33,25 @@ func (k KernelFunc) Name() string { return k.KernelName }
 func (k KernelFunc) Run(ctx *ExecContext) { k.Body(ctx) }
 
 // hitEntry is one row of the device-resident object table of paper Figure 5:
-// an address range plus read/write hit flags.
+// an address range plus read/write hit flags. blk is the live allocation
+// whose user bytes hold the whole range (nil when none does), so the row
+// that resolves an access also yields its backing bytes.
 type hitEntry struct {
 	rng      Range
+	blk      *block
 	readHit  bool
 	writeHit bool
+}
+
+// rowSlot is a copy of one resolved hit-table row in a launch's
+// resolution cache. uint64(addr-base) < size is its whole containment
+// test: an address below base wraps to a value above any size, and an
+// empty slot (size 0) contains nothing.
+type rowSlot struct {
+	base DevicePtr
+	size uint64
+	row  int
+	blk  *block
 }
 
 // ExecContext is the device-side execution environment handed to a kernel.
@@ -53,10 +67,17 @@ type ExecContext struct {
 
 	// snapshot of the memory map at launch time, sorted by address.
 	table []hitEntry
-	// lastEntry is the table row the previous access resolved to (-1
-	// before any), checked before the binary search because consecutive
-	// accesses usually touch the same object.
-	lastEntry int
+	// slots caches the rows recent binary searches returned; resolve
+	// probes them before searching. A search hit fills slot next&slotMask.
+	// slotMask is 3 when the rows are pairwise disjoint, so an address
+	// lies in at most one row and any slot holding it is the answer. It
+	// is 0 when rows overlap (a pool's tensors inside its still-listed
+	// segment), which keeps the cache to slot 0: the last row a search
+	// returned, checked before the search, the rule that decides which of
+	// two overlapping rows an address resolves to.
+	slots    [4]rowSlot
+	next     uint8
+	slotMask uint8
 
 	instrumented bool
 	hostTrace    bool // ObjectIDHostTrace mode: ship every access to the host
@@ -101,16 +122,46 @@ func (c *ExecContext) SharedAlloc(n int) int {
 	return off
 }
 
-// findEntry locates the hit-table row containing addr, mimicking the binary
-// search the paper performs on the device (Figure 5). Returns -1 if the
-// address is not inside any live object.
-func (c *ExecContext) findEntry(addr DevicePtr) int {
-	// Fast path: same object as the previous access.
-	if c.lastEntry >= 0 && c.lastEntry < len(c.table) && c.table[c.lastEntry].rng.Contains(addr) {
-		return c.lastEntry
+// loadTable copies the memory map into the hit table ("copy M to the GPU
+// at each kernel launch", paper Figure 5) and attaches each row's backing
+// allocation in one merge walk over the address-ordered rows and blocks.
+// A row gets a block only if the block's user bytes hold all of it, so
+// every address the row resolves lies in that block; any other row, and
+// any address outside every row, falls back to Allocator.lookup. It also
+// records whether the rows are pairwise disjoint (see slotMask).
+func (c *ExecContext) loadTable(live []Range, blocks []*block) {
+	c.table = make([]hitEntry, len(live))
+	c.slotMask = 3
+	j := 0
+	for i, r := range live {
+		for j < len(blocks) && blocks[j].addr <= r.Addr {
+			j++
+		}
+		c.table[i].rng = r
+		if j > 0 {
+			b := blocks[j-1]
+			if off := uint64(r.Addr - b.addr); off <= b.req && r.Size <= b.req-off {
+				c.table[i].blk = b
+			}
+		}
+		if i > 0 && uint64(r.Addr-live[i-1].Addr) < live[i-1].Size {
+			c.slotMask = 0
+		}
 	}
-	// Binary search for the first row starting above addr; only the row
-	// before it can contain addr.
+}
+
+// resolve returns the hit-table row containing addr and the row's backing
+// allocation, or -1 and nil when no row contains it. It probes the slots
+// and binary-searches the table, the device-side search of paper Figure
+// 5, only on a miss. With disjoint rows the answer depends on addr alone;
+// with overlapping rows it is the last row a search returned if that row
+// contains addr, else the row before the first one starting above addr.
+func (c *ExecContext) resolve(addr DevicePtr) (int, *block) {
+	for k := range c.slots {
+		if s := &c.slots[k]; uint64(addr-s.base) < s.size {
+			return s.row, s.blk
+		}
+	}
 	lo, hi := 0, len(c.table)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -120,11 +171,24 @@ func (c *ExecContext) findEntry(addr DevicePtr) int {
 			lo = mid + 1
 		}
 	}
-	if lo > 0 && c.table[lo-1].rng.Contains(addr) {
-		c.lastEntry = lo - 1
-		return lo - 1
+	if lo == 0 || !c.table[lo-1].rng.Contains(addr) {
+		return -1, nil
 	}
-	return -1
+	e := &c.table[lo-1]
+	c.slots[c.next&c.slotMask] = rowSlot{base: e.rng.Addr, size: e.rng.Size, row: lo - 1, blk: e.blk}
+	c.next++
+	return lo - 1, e.blk
+}
+
+// backing returns the bytes [addr, addr+size) of block b, or nil after
+// recording a fault when b is nil or does not hold them all.
+func (c *ExecContext) backing(b *block, addr DevicePtr, size uint32, kind AccessKind) []byte {
+	if b == nil || uint64(addr-b.addr)+uint64(size) > b.req {
+		c.rec.Faults = append(c.rec.Faults, Fault{Addr: addr, Size: size, Kind: kind})
+		return nil
+	}
+	off := uint64(addr - b.addr)
+	return b.data[off : off+uint64(size)]
 }
 
 // access performs bookkeeping common to every load/store and returns the
@@ -135,34 +199,36 @@ func (c *ExecContext) access(addr DevicePtr, size uint32, kind AccessKind) []byt
 
 // accessVal is access with an optional store value attached to the emitted
 // record, so value-aware tools (the ValueExpert baseline) can observe the
-// data stream without a second instrumentation pass.
+// data stream without a second instrumentation pass. Native and host-trace
+// accesses find their bytes with Allocator.lookup. A profiled access
+// resolves its hit-table row once, and the row gives the hit flag, the
+// cost-model entry and the backing bytes.
 func (c *ExecContext) accessVal(addr DevicePtr, size uint32, kind AccessKind, val uint64, hasVal bool) []byte {
 	c.accessCycles += c.dev.spec.GlobalLatency
-	b := c.dev.alloc.lookup(addr)
-	var data []byte
-	if b == nil || uint64(addr-b.addr)+uint64(size) > b.req {
-		c.rec.Faults = append(c.rec.Faults, Fault{Addr: addr, Size: size, Kind: kind})
-	} else {
-		off := addr - b.addr
-		data = b.data[off : uint64(off)+uint64(size)]
-	}
-
 	if c.dev.patch == PatchNone {
+		return c.backing(c.dev.alloc.lookup(addr), addr, size, kind)
+	}
+	if c.hostTrace {
+		data := c.backing(c.dev.alloc.lookup(addr), addr, size, kind)
+		c.dev.pushAccess(c.rec, MemAccess{Addr: addr, Size: size, Kind: kind, Space: SpaceGlobal, Value: val, HasValue: hasVal})
 		return data
 	}
-	if c.hostTrace || c.instrumented {
+	i, b := c.resolve(addr)
+	if b == nil {
+		b = c.dev.alloc.lookup(addr)
+	}
+	data := c.backing(b, addr, size, kind)
+	if c.instrumented {
 		c.dev.pushAccess(c.rec, MemAccess{Addr: addr, Size: size, Kind: kind, Space: SpaceGlobal, Value: val, HasValue: hasVal})
 	}
-	if !c.hostTrace {
-		if i := c.findEntry(addr); i >= 0 {
-			if kind == AccessRead {
-				c.table[i].readHit = true
-			} else {
-				c.table[i].writeHit = true
-			}
-			if c.cost != nil {
-				c.cost.Access(i, uint64(addr), size)
-			}
+	if i >= 0 {
+		if kind == AccessRead {
+			c.table[i].readHit = true
+		} else {
+			c.table[i].writeHit = true
+		}
+		if c.cost != nil {
+			c.cost.Access(i, uint64(addr), size)
 		}
 	}
 	return data
@@ -332,11 +398,10 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 	d.kernelLaunch[k.Name()] = launchNo + 1
 
 	ctx := &ExecContext{
-		dev:       d,
-		rec:       rec,
-		grid:      grid,
-		block:     block,
-		lastEntry: -1,
+		dev:   d,
+		rec:   rec,
+		grid:  grid,
+		block: block,
 	}
 	if d.patch >= PatchAPI {
 		if d.objectID == ObjectIDHostTrace {
@@ -350,10 +415,7 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 			} else {
 				live = d.alloc.Live()
 			}
-			ctx.table = make([]hitEntry, len(live))
-			for i, r := range live {
-				ctx.table[i] = hitEntry{rng: r}
-			}
+			ctx.loadTable(live, d.alloc.blocks)
 			if d.costTracker != nil && len(ctx.table) > 0 {
 				d.costTracker.Reset(len(ctx.table))
 				ctx.cost = d.costTracker
