@@ -5,8 +5,8 @@ GO ?= go
 # check is the tier-1 verify gate (see ROADMAP.md): static checks, the
 # invariant linter suite, the static kernel advisor gate, the public API
 # surface lock, the full test suite, the race-enabled run that guards
-# pipelined ingest, the shard workers and the engine's concurrent runs,
-# and the drgpum-serve smoke round-trip. Steps run in cheapest-first order and fail fast; each
+# pipelined ingest and the engine's concurrent runs, and the drgpum-serve
+# smoke round-trip. Steps run in cheapest-first order and fail fast; each
 # announces itself so CI logs show exactly where a red run stopped.
 check: vet fmt build lint staticadv api test race serve-smoke
 	@echo "== check: all gates passed =="

@@ -25,7 +25,7 @@ func main() {
 	log.SetPrefix("drgpum-tables: ")
 	which := flag.String("table", "all", "which table to regenerate: 1, 4 or all")
 	outDir := flag.String("o", "", "also write artifact-style result files (patterns.txt, memory_peak.txt) into this directory")
-	jobs := flag.Int("j", 0, "max concurrent profiling runs (0 = GOMAXPROCS); speedup runs always execute exclusively")
+	jobs := flag.Int("j", 0, "max concurrent runs (0 = GOMAXPROCS)")
 	seq := flag.Bool("seq", false, "run every profile sequentially in submission order (reference scheduling; output is byte-identical either way)")
 	stats := flag.Bool("stats", false, "print the engine's aggregated self-observability (phases with wall time, counters) after the tables")
 	flag.Parse()

@@ -61,7 +61,7 @@ func main() {
 		stream    = flag.Bool("stream", false, "stream the analysis: finalize per kernel-epoch with bounded collector memory (same report, plus a temporal heat map)")
 		window    = flag.Int("window", 0, "streaming kernel-epoch length (0 = default)")
 		heatmap   = flag.Bool("heatmap", false, "draw the temporal heat map after the report (implies -stream)")
-		pipelined = flag.Bool("pipelined", false, "pipeline the run: simulate and ingest concurrently with sharded intra-object accumulation (identical report, lower wall clock)")
+		pipelined = flag.Bool("pipelined", false, "pipeline the run: simulate on one goroutine while another ingests the access stream (identical report, lower wall clock on a free core)")
 		loadPath  = flag.String("load", "", "re-analyze this saved profile instead of running a workload")
 		baseline  = flag.String("baseline", "", "with -load: compare the loaded profile (the candidate) against this saved profile")
 		ti        = flag.Int("ti", 4, "with -load: temporary-idleness threshold (intervening GPU APIs)")

@@ -322,11 +322,10 @@ func WithoutCostModel() Option {
 // WithPipelinedIngest decouples simulation from ingestion inside the run:
 // the device hands filled access batches to a dedicated consumer goroutine
 // over a bounded double-buffered channel and keeps simulating while the
-// hooks work, and — at intra-object granularity with Config.PipelineShards
-// set — per-object accumulation shards across a small worker set merged at
-// kernel-epoch boundaries. The report is byte-identical to the default
-// synchronous ingestion (the pipelined determinism tests pin this); the
-// win is single-run wall clock on idle cores.
+// hooks, intra-object accumulation included, run there. The report is
+// byte-identical to the default synchronous ingestion (the pipelined
+// determinism tests pin this); the win is single-run wall clock on a free
+// core.
 func WithPipelinedIngest() Option {
 	return func(c *Config) { c.PipelinedIngest = true }
 }

@@ -18,7 +18,7 @@ type costMode struct {
 }
 
 // costModes is the full mode matrix: the default offline run, pipelined
-// ingest with sharded accumulation, and streaming windowed retirement.
+// ingest, and streaming windowed retirement.
 // Cost accounting rides the synchronous kernel execution path in every one
 // of them, so modeled cycles must be bit-equal across the matrix.
 var costModes = []costMode{
@@ -34,10 +34,7 @@ func costReport(tb testing.TB, w *workloads.Workload, v workloads.Variant, m cos
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	cfg := core.IntraObjectConfig()
 	cfg.KernelWhitelist = w.IntraKernels
-	if m.pipelined {
-		cfg.PipelinedIngest = true
-		cfg.PipelineShards = pipelineShards
-	}
+	cfg.PipelinedIngest = m.pipelined
 	if m.streaming {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
 	}

@@ -10,17 +10,18 @@ import (
 	"drgpum/internal/workloads"
 )
 
-// pipelineShards is the shard-worker count the identity tests pin the
-// pipelined runs at. Two is enough to exercise real cross-shard routing
-// (objects land on different workers) without assuming test-machine
-// parallelism; TestPipelinedShardInvariance covers the other counts.
-const pipelineShards = 2
+// hostMapWorkloads are the programs TestPipelinedDeterminism also runs
+// with host-side access maps forced (Profiler.ForceHostAccessMaps). No
+// bundled workload outgrows device memory, so without the force no
+// pipelined run would take the recorder's host-spill path.
+var hostMapWorkloads = map[string]bool{"polybench/bicg": true, "simplemulticopy": true, "minimdock": true}
 
 // pipelineReport runs one workload variant from scratch, either through
 // the plain sequential pipeline (the identity baseline: synchronous
 // ingestion on one goroutine) or through the pipelined one (double-
-// buffered access hand-off plus sharded intra-object accumulation).
-func pipelineReport(tb testing.TB, name string, v workloads.Variant, pipelined, stream bool, shards int) *core.Report {
+// buffered access hand-off to a consumer goroutine). hostMaps forces the
+// intra-object recorder's host-side map updates.
+func pipelineReport(tb testing.TB, name string, v workloads.Variant, pipelined, stream, hostMaps bool) *core.Report {
 	tb.Helper()
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -29,14 +30,14 @@ func pipelineReport(tb testing.TB, name string, v workloads.Variant, pipelined, 
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	cfg := core.IntraObjectConfig()
 	cfg.KernelWhitelist = w.IntraKernels
-	if pipelined {
-		cfg.PipelinedIngest = true
-		cfg.PipelineShards = shards
-	}
+	cfg.PipelinedIngest = pipelined
 	if stream {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
 	}
 	prof := core.Attach(dev, cfg)
+	if hostMaps {
+		prof.ForceHostAccessMaps()
+	}
 	if err := w.Run(dev, prof, v); err != nil {
 		tb.Fatal(err)
 	}
@@ -55,47 +56,63 @@ func exportBytes(tb testing.TB, rep *core.Report, f core.Format) []byte {
 
 // TestPipelinedDeterminism pins the pipelined identity contract across the
 // whole workload suite: for every workload, both variants, offline and
-// streaming, a run whose accesses were handed to a consumer goroutine and
-// whose per-object accumulators were updated by shard workers must
+// streaming, a run whose accesses were handed to a consumer goroutine must
 // serialize byte-identically — report JSON, verbose render, GUI export,
 // and (offline) the saved profile — to the strictly sequential pipeline.
-// The contract is the same one TestStreamingDeterminism pins for windows:
-// concurrency is an execution detail, never an output.
+// The hostMapWorkloads run a second time with host-side access maps
+// forced, so the consumer also replays host-mode spills. The contract is
+// the same one TestStreamingDeterminism pins for windows: concurrency is
+// an execution detail, never an output.
 func TestPipelinedDeterminism(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, v := range []workloads.Variant{workloads.VariantNaive, workloads.VariantOptimized} {
 			for _, stream := range []bool{false, true} {
-				mode := "offline"
-				if stream {
-					mode = "streaming"
+				for _, hostMaps := range []bool{false, true} {
+					if hostMaps && !hostMapWorkloads[name] {
+						continue
+					}
+					mode := "offline"
+					if stream {
+						mode = "streaming"
+					}
+					if hostMaps {
+						mode += "/host-maps"
+					}
+					t.Run(fmt.Sprintf("%s/%s/%s", name, v, mode), func(t *testing.T) {
+						checkPipelinedIdentity(t, name, v, stream, hostMaps)
+					})
 				}
-				t.Run(fmt.Sprintf("%s/%s/%s", name, v, mode), func(t *testing.T) {
-					// One call site for both runs: allocation call paths
-					// embed source lines, so distinct call sites would
-					// differ trivially.
-					var reps [2]*core.Report
-					for i, pipelined := range []bool{false, true} {
-						reps[i] = pipelineReport(t, name, v, pipelined, stream, pipelineShards)
-					}
-					seq, piped := reps[0], reps[1]
-					seqJS, seqTxt := reportBytes(t, seq)
-					pipJS, pipTxt := reportBytes(t, piped)
-					if !bytes.Equal(seqJS, pipJS) {
-						t.Errorf("pipelined JSON differs from sequential (%d vs %d bytes)", len(pipJS), len(seqJS))
-					}
-					if !bytes.Equal(seqTxt, pipTxt) {
-						t.Errorf("pipelined render differs from sequential (%d vs %d bytes)", len(pipTxt), len(seqTxt))
-					}
-					if !bytes.Equal(exportBytes(t, seq, core.FormatGUI), exportBytes(t, piped, core.FormatGUI)) {
-						t.Error("pipelined GUI export differs from sequential")
-					}
-					if !stream {
-						if !bytes.Equal(exportBytes(t, seq, core.FormatProfile), exportBytes(t, piped, core.FormatProfile)) {
-							t.Error("pipelined saved profile differs from sequential")
-						}
-					}
-				})
 			}
+		}
+	}
+}
+
+// checkPipelinedIdentity is one TestPipelinedDeterminism case.
+func checkPipelinedIdentity(t *testing.T, name string, v workloads.Variant, stream, hostMaps bool) {
+	// One call site for both runs: allocation call paths embed source
+	// lines, so distinct call sites would differ trivially.
+	var reps [2]*core.Report
+	for i, pipelined := range []bool{false, true} {
+		reps[i] = pipelineReport(t, name, v, pipelined, stream, hostMaps)
+		if hostMaps && reps[i].ModeStats.HostKernels == 0 {
+			t.Fatalf("pipelined=%v: host maps forced but no kernel ran in host mode; test is vacuous", pipelined)
+		}
+	}
+	seq, piped := reps[0], reps[1]
+	seqJS, seqTxt := reportBytes(t, seq)
+	pipJS, pipTxt := reportBytes(t, piped)
+	if !bytes.Equal(seqJS, pipJS) {
+		t.Errorf("pipelined JSON differs from sequential (%d vs %d bytes)", len(pipJS), len(seqJS))
+	}
+	if !bytes.Equal(seqTxt, pipTxt) {
+		t.Errorf("pipelined render differs from sequential (%d vs %d bytes)", len(pipTxt), len(seqTxt))
+	}
+	if !bytes.Equal(exportBytes(t, seq, core.FormatGUI), exportBytes(t, piped, core.FormatGUI)) {
+		t.Error("pipelined GUI export differs from sequential")
+	}
+	if !stream {
+		if !bytes.Equal(exportBytes(t, seq, core.FormatProfile), exportBytes(t, piped, core.FormatProfile)) {
+			t.Error("pipelined saved profile differs from sequential")
 		}
 	}
 }
@@ -113,10 +130,7 @@ func TestPipelinedMemcheckDeterminism(t *testing.T) {
 		cfg := core.IntraObjectConfig()
 		cfg.KernelWhitelist = w.IntraKernels
 		cfg.Memcheck = true
-		if pipelined {
-			cfg.PipelinedIngest = true
-			cfg.PipelineShards = pipelineShards
-		}
+		cfg.PipelinedIngest = pipelined
 		prof := core.Attach(dev, cfg)
 		if err := w.Run(dev, prof, workloads.VariantNaive); err != nil {
 			t.Fatal(err)
@@ -142,34 +156,10 @@ func TestPipelinedMemcheckDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelinedShardInvariance pins that the shard count is a pure
-// throughput knob: 0 shards (hand-off only, router finalizes inline), 1,
-// and 3 must all produce the bytes that 2 shards — and, transitively via
-// TestPipelinedDeterminism, the sequential pipeline — produce. This is
-// the determinism argument of DESIGN.md §4.9 made executable: per-object
-// work is order-independent across shards, global decisions stay on the
-// router, merged counters are commutative sums.
-func TestPipelinedShardInvariance(t *testing.T) {
-	const name = "simplemulticopy"
-	var base []byte
-	for _, shards := range []int{2, 0, 1, 3} {
-		rep := pipelineReport(t, name, workloads.VariantNaive, true, true, shards)
-		js, _ := reportBytes(t, rep)
-		if base == nil {
-			base = js
-			continue
-		}
-		if !bytes.Equal(base, js) {
-			t.Errorf("shards=%d report differs from shards=2 (%d vs %d bytes)", shards, len(js), len(base))
-		}
-	}
-}
-
 // TestPipelinedSnapshotThenFinish pins the pipelined form of the snapshot
-// contract: mid-run Snapshots — which force a shard merge barrier while
-// the pipeline stays attached — must leave the Finish report
-// byte-identical to an uninterrupted pipelined run, offline and
-// streaming.
+// contract: mid-run Snapshots — which flush the recorder while the
+// pipeline stays attached — must leave the Finish report byte-identical
+// to an uninterrupted pipelined run, offline and streaming.
 func TestPipelinedSnapshotThenFinish(t *testing.T) {
 	for _, stream := range []bool{false, true} {
 		mode := "offline"
@@ -181,7 +171,6 @@ func TestPipelinedSnapshotThenFinish(t *testing.T) {
 				dev := gpu.NewDevice(gpu.SpecRTX3090())
 				cfg := trainingConfig(stream)
 				cfg.PipelinedIngest = true
-				cfg.PipelineShards = pipelineShards
 				prof := core.Attach(dev, cfg)
 				var onEpoch func(int)
 				if snapshots {

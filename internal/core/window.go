@@ -182,12 +182,6 @@ func (h *arrivalHook) stream(rec *gpu.APIRecord, info *trace.APIInfo, touched []
 // record its heat epoch, compact the access lists of its touched objects,
 // and retire its API records.
 func (h *arrivalHook) closeWindow(upTo uint64) {
-	// A window close is the kernel-epoch merge point for sharded pipelined
-	// ingestion: drain the shard workers and fold their counters before
-	// retiring the window, so seal/retire act on settled per-object state.
-	if h.recorder != nil {
-		h.recorder.SyncIngest()
-	}
 	cells := make([]HeatCell, 0, len(h.curCells))
 	for id, n := range h.curCells {
 		cells = append(cells, HeatCell{Object: id, Touches: n, ExcessTransactions: h.curExcess[id]})

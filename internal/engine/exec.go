@@ -23,9 +23,9 @@ import (
 // path tables, and the profile/GUI exports — which serialize those
 // tables — would not be byte-identical across submitting contexts (the
 // serve contract tests pin that identity over HTTP).
-func runDetached(s RunSpec, rec *obs.Recorder, shards int) Result {
+func runDetached(s RunSpec, rec *obs.Recorder) Result {
 	ch := make(chan Result, 1)
-	go func() { ch <- exec(s, rec, shards) }()
+	go func() { ch <- exec(s, rec) }()
 	return <-ch
 }
 
@@ -36,7 +36,7 @@ func runDetached(s RunSpec, rec *obs.Recorder, shards int) Result {
 // profiling cost the paper measures. rec is the run's private
 // self-observability recorder (nil when the engine has none); native and
 // baseline runs have nothing to record.
-func exec(s RunSpec, rec *obs.Recorder, shards int) Result {
+func exec(s RunSpec, rec *obs.Recorder) Result {
 	switch s.Mode {
 	case ModeNative:
 		return execNative(s)
@@ -45,7 +45,7 @@ func exec(s RunSpec, rec *obs.Recorder, shards int) Result {
 	case ModeMemcheck:
 		return execMemcheck(s, rec)
 	default:
-		return execProfile(s, rec, shards)
+		return execProfile(s, rec)
 	}
 }
 
@@ -53,7 +53,7 @@ func exec(s RunSpec, rec *obs.Recorder, shards int) Result {
 // (the paper's configuration, as in tables.Profile): object-level at
 // gpu.PatchAPI, intra-object at gpu.PatchFull with the workload's paper
 // kernel whitelist and the spec'd sampling period.
-func execProfile(s RunSpec, rec *obs.Recorder, shards int) Result {
+func execProfile(s RunSpec, rec *obs.Recorder) Result {
 	dev := gpu.NewDevice(s.Spec)
 	start := time.Now()
 	cfg := core.DefaultConfig()
@@ -67,10 +67,7 @@ func execProfile(s RunSpec, rec *obs.Recorder, shards int) Result {
 	if s.Streaming {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: s.Window}
 	}
-	if s.Pipelined {
-		cfg.PipelinedIngest = true
-		cfg.PipelineShards = shards
-	}
+	cfg.PipelinedIngest = s.Pipelined
 	prof := core.Attach(dev, cfg)
 	if err := s.Workload.Run(dev, prof, s.Variant); err != nil {
 		return Result{Err: fmt.Errorf("%s (%s): %w", s.Workload.Name, s.Variant, err)}

@@ -9,7 +9,9 @@ package gpu
 // GPU keeps executing); accessPipeline is that overlap for the simulator: a
 // bounded single-producer/single-consumer hand-off where the device swaps a
 // filled batch for a recycled empty one and keeps simulating while the
-// consumer goroutine runs the hooks.
+// consumer goroutine runs the hooks. The consumer runs the same hook code a
+// synchronous run does, intra-object accumulation included; the pipeline
+// only moves it to another goroutine.
 //
 // Ordering contract (what keeps profiles byte-identical):
 //
@@ -26,7 +28,7 @@ package gpu
 // The consumer must honor the same re-entrancy contract as synchronous
 // hooks: runPipeline executes hook bodies, so nothing reached from it may
 // call Device or pool mutators (enforced by the hookreentry analyzer, which
-// knows runPipeline/runShard by name).
+// knows runPipeline by name).
 
 // pipeDepth is the bound on batches queued between producer and consumer.
 // Small on purpose: one batch in flight plus one queued is enough to hide

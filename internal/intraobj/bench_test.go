@@ -23,28 +23,48 @@ func benchObjects(n, elems int) []*trace.Object {
 	return objs
 }
 
+// benchBatchLen is the device's access-batch length (gpu.accessBatchSize):
+// the collector never hands the recorder a run longer than one batch.
+const benchBatchLen = 4096
+
+// sweep returns n accesses of width bytes each, walking o from its base.
+func sweep(o *trace.Object, n, width int) []gpu.MemAccess {
+	acc := make([]gpu.MemAccess, n)
+	for i := range acc {
+		acc[i] = gpu.MemAccess{Addr: o.Ptr + gpu.DevicePtr(i*width), Size: uint32(width), Space: gpu.SpaceGlobal}
+	}
+	return acc
+}
+
+// deliver hands one kernel's single-object access stream to the recorder
+// the way Collector.OnAccessBatch does: one ObjectAccessRun per device
+// batch.
+func deliver(r *Recorder, o *trace.Object, rec *gpu.APIRecord, acc []gpu.MemAccess) {
+	for len(acc) > 0 {
+		n := min(len(acc), benchBatchLen)
+		r.ObjectAccessRun(o, rec, acc[:n])
+		acc = acc[n:]
+	}
+}
+
 // BenchmarkRecorderIngest measures the recorder's access-ingestion hot path
-// (ObjectAccess + per-API finalization), the dominant cost of intra-object
-// profiling (paper §5.5, Figure 6's 3.5-4x overhead band).
+// (same-object runs + per-API finalization), the dominant cost of
+// intra-object profiling (paper §5.5, Figure 6's 3.5-4x overhead band).
 func BenchmarkRecorderIngest(b *testing.B) {
 	const elems = 1 << 14
 
 	// pointwise: one element per access, sweeping the object — the shape of
 	// an instrumented elementwise kernel.
 	b.Run("pointwise", func(b *testing.B) {
-		objs := benchObjects(1, elems)
+		o := benchObjects(1, elems)[0]
+		acc := sweep(o, elems, 4)
 		r := NewRecorder(0)
 		rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec.Index = uint64(i)
-			o := objs[0]
-			for e := 0; e < elems; e++ {
-				r.ObjectAccess(o, rec, gpu.MemAccess{
-					Addr: o.Ptr + gpu.DevicePtr(e*4), Size: 4, Space: gpu.SpaceGlobal,
-				})
-			}
+			deliver(r, o, rec, acc)
 		}
 		b.StopTimer()
 		r.Flush()
@@ -54,20 +74,16 @@ func BenchmarkRecorderIngest(b *testing.B) {
 	// ranged: each access covers a 1 KiB run of elements — the shape of
 	// vectorized/coalesced kernels, where per-element map updates hurt most.
 	b.Run("ranged", func(b *testing.B) {
-		objs := benchObjects(1, elems)
+		const span = 1024 // bytes per access = 256 elements
+		o := benchObjects(1, elems)[0]
+		acc := sweep(o, elems*4/span, span)
 		r := NewRecorder(0)
 		rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
-		const span = 1024 // bytes per access = 256 elements
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec.Index = uint64(i)
-			o := objs[0]
-			for off := 0; off+span <= elems*4; off += span {
-				r.ObjectAccess(o, rec, gpu.MemAccess{
-					Addr: o.Ptr + gpu.DevicePtr(off), Size: span, Space: gpu.SpaceGlobal,
-				})
-			}
+			deliver(r, o, rec, acc)
 		}
 		b.StopTimer()
 		r.Flush()
@@ -76,19 +92,15 @@ func BenchmarkRecorderIngest(b *testing.B) {
 	// host-spill: a capacity of one byte forces the host-side map-update
 	// mode, exercising the spill buffer and its replay at finalization.
 	b.Run("host-spill", func(b *testing.B) {
-		objs := benchObjects(1, elems)
+		o := benchObjects(1, elems)[0]
+		acc := sweep(o, elems, 4)
 		r := NewRecorder(1)
 		rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec.Index = uint64(i)
-			o := objs[0]
-			for e := 0; e < elems; e++ {
-				r.ObjectAccess(o, rec, gpu.MemAccess{
-					Addr: o.Ptr + gpu.DevicePtr(e*4), Size: 4, Space: gpu.SpaceGlobal,
-				})
-			}
+			deliver(r, o, rec, acc)
 		}
 		b.StopTimer()
 		r.Flush()
@@ -100,23 +112,22 @@ func BenchmarkRecorderIngest(b *testing.B) {
 	b.Run("many-objects", func(b *testing.B) {
 		const nObj = 256
 		objs := benchObjects(nObj, 256)
+		acc := make([][]gpu.MemAccess, nObj)
+		for i, o := range objs {
+			acc[i] = sweep(o, 64, 4)
+		}
 		r := NewRecorder(0)
 		rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
 		// Register every object once so the tracked set is fully populated.
 		for i, o := range objs {
 			rec.Index = uint64(i)
-			r.ObjectAccess(o, rec, gpu.MemAccess{Addr: o.Ptr, Size: 4, Space: gpu.SpaceGlobal})
+			deliver(r, o, rec, acc[i][:1])
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec.Index = uint64(nObj + i)
-			o := objs[i%nObj]
-			for e := 0; e < 64; e++ {
-				r.ObjectAccess(o, rec, gpu.MemAccess{
-					Addr: o.Ptr + gpu.DevicePtr(e*4), Size: 4, Space: gpu.SpaceGlobal,
-				})
-			}
+			deliver(r, objs[i%nObj], rec, acc[i%nObj])
 		}
 		b.StopTimer()
 		r.Flush()

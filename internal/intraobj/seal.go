@@ -34,25 +34,11 @@ type sealedState struct {
 // deliberately NOT decremented, matching the offline recorder, which never
 // shrinks its map-footprint estimate.
 func (r *Recorder) Seal(id int) {
-	if r.sharded != nil {
-		r.sharded.seal(trace.ObjectID(id))
-		return
-	}
 	st := r.states[trace.ObjectID(id)]
 	if st == nil || st.sealed != nil {
 		return
 	}
 	r.finalizeAPI()
-	st.sealNow()
-}
-
-// sealNow computes and installs the compact summary. It touches only this
-// object's state (the in-flight API must already be finalized for it), so
-// the sharded path runs it on the worker that owns the object.
-func (st *objState) sealNow() {
-	if st.sealed != nil {
-		return
-	}
 	sealed := &sealedState{
 		accessedPct: st.total.AccessedPct(),
 		fragPct:     st.total.Fragmentation(),

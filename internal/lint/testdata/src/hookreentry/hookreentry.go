@@ -27,19 +27,12 @@ func (h *badHook) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {
 	h.dev.Synchronize() // want `hook OnAccessBatch calls Device.Synchronize`
 }
 
-// badSink re-enters from the access-sink callbacks — flagged.
+// badSink re-enters from the access-sink callback — flagged.
 type badSink struct {
-	dev  *gpu.Device
 	pool *pool.Pool
 }
 
-var _ trace.BatchAccessSink = (*badSink)(nil)
-
-func (s *badSink) ObjectAccess(o *trace.Object, rec *gpu.APIRecord, a gpu.MemAccess) {
-	if err := s.dev.Memset(a.Addr, 0, uint64(a.Size), nil); err != nil { // want `hook ObjectAccess calls Device.Memset`
-		panic(err)
-	}
-}
+var _ trace.AccessSink = (*badSink)(nil)
 
 func (s *badSink) ObjectAccessRun(o *trace.Object, rec *gpu.APIRecord, run []gpu.MemAccess) {
 	if _, err := s.pool.Alloc(16); err != nil { // want `hook ObjectAccessRun calls pool Pool.Alloc`
@@ -98,15 +91,11 @@ func (h *obsHook) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {
 	sp.End()
 }
 
-// obsSink reports into a recorder from the access-sink callbacks — silent
+// obsSink reports into a recorder from the access-sink callback — silent
 // for the same reason.
 type obsSink struct{ node *obs.Node }
 
-var _ trace.BatchAccessSink = (*obsSink)(nil)
-
-func (s *obsSink) ObjectAccess(o *trace.Object, rec *gpu.APIRecord, a gpu.MemAccess) {
-	s.node.Record(0)
-}
+var _ trace.AccessSink = (*obsSink)(nil)
 
 func (s *obsSink) ObjectAccessRun(o *trace.Object, rec *gpu.APIRecord, run []gpu.MemAccess) {
 	s.node.Child("run").Record(0)
@@ -121,47 +110,12 @@ func launchElsewhere(dev *gpu.Device) error {
 	return dev.Free(ptr)
 }
 
-// The pipelined-ingest consumer shapes: runPipeline/runShard are the
-// named consumer-goroutine loops of the intra-run pipeline (the naming
-// convention is the analyzer's matching contract). They execute hook
-// work asynchronously while the simulator keeps running, so re-entering
-// a Device or pool mutator from one is not just a corrupted record — the
+// The pipelined-ingest consumer shapes: runPipeline is the named
+// consumer-goroutine loop of the intra-run pipeline (the naming
+// convention is the analyzer's matching contract). It executes hook work
+// asynchronously while the simulator keeps running, so re-entering a
+// Device or pool mutator from it is not just a corrupted record — the
 // mutator's drain barrier waits on the very goroutine making the call.
-
-// shardTask mimics the per-shard work unit: an object id and a count.
-type shardTask struct {
-	obj uint64
-	n   uint64
-}
-
-// goodShardWorker drains its task channel and mutates only per-shard
-// state it owns — the sanctioned worker shape, silent.
-type goodShardWorker struct {
-	tasks  chan shardTask
-	counts map[uint64]uint64
-	node   *obs.Node
-}
-
-func (w *goodShardWorker) runShard() {
-	for t := range w.tasks {
-		w.counts[t.obj] += t.n
-		w.node.Record(0)
-	}
-}
-
-// badShardWorker re-enters the device from the worker goroutine — flagged.
-type badShardWorker struct {
-	tasks chan shardTask
-	dev   *gpu.Device
-}
-
-func (w *badShardWorker) runShard() {
-	for t := range w.tasks {
-		if t.n == 0 {
-			w.dev.Synchronize() // want `hook runShard calls Device.Synchronize`
-		}
-	}
-}
 
 // goodPipelineConsumer forwards batches to hooks in order and recycles
 // the buffer through the free channel — the hand-off loop's shape, silent.

@@ -206,13 +206,13 @@ func windowFanOutGood(epochs []epoch) []uint64 {
 	return totals
 }
 
-// shardState mimics one pipeline shard worker's private accumulator.
+// shardState mimics one channel worker's private accumulator.
 type shardState struct {
 	counts map[uint64]uint64
 	spills uint64
 }
 
-// channelWorkersGood is the pipelined-ingest worker shape: each goroutine
+// channelWorkersGood is the channel-worker shape: each goroutine
 // receives its own state struct as a parameter and drains a task channel,
 // writing only through that parameter — silent. All cross-worker merging
 // happens after the channel closes and the WaitGroup settles.

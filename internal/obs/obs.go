@@ -118,11 +118,11 @@ const (
 	// NamedPipelineDepthHW is the hand-off queue depth high-water mark
 	// (published as deltas, so the final value is the maximum observed).
 	NamedPipelineDepthHW = "pipeline/depth-high-water"
-	// NamedPipelineShardTasks counts tasks enqueued to the intra-object
-	// shard workers (span chunks, begins, finalizes, seals, barriers).
+	// NamedPipelineShardTasks is never published.
+	//
+	// Deprecated: it counted tasks of the intra-object shard workers,
+	// which are gone.
 	NamedPipelineShardTasks = "pipeline/shard-tasks"
-	// NamedPipelineShards is the shard-worker count of the run.
-	NamedPipelineShards = "pipeline/shards"
 )
 
 // Named counters published by the profiling server (internal/serve). Like

@@ -167,13 +167,12 @@ func TestConcurrentSessionsStress(t *testing.T) {
 
 // TestConcurrentPipelinedSessionsMatchOffline is the pipelined leg of the
 // stress suite: several sessions run concurrently with pipelined ingest
-// enabled — so multiple consumer goroutines and shard-worker sets are
-// live inside one engine at once, stacked on the engine's own run
-// parallelism — and every report fetched over HTTP must still be
-// byte-identical, in every exportable format, to the plain offline
-// pipeline profiling the same workload. Meant for -race: the identity
-// check doubles as a determinism probe over genuinely interleaved
-// pipelined executions.
+// enabled — so multiple consumer goroutines are live inside one engine at
+// once, stacked on the engine's own run parallelism — and every report
+// fetched over HTTP must still be byte-identical, in every exportable
+// format, to the plain offline pipeline profiling the same workload.
+// Meant for -race: the identity check doubles as a determinism probe over
+// genuinely interleaved pipelined executions.
 func TestConcurrentPipelinedSessionsMatchOffline(t *testing.T) {
 	eng := engine.New(engine.Config{})
 	s := New(Config{Engine: eng, Capacity: 16, TTL: time.Hour})

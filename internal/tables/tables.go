@@ -51,8 +51,8 @@ type ProfileOpts struct {
 	Window int
 	// Pipelined decouples simulation from ingestion inside the run
 	// (engine.RunSpec.Pipelined): access batches hand off to a consumer
-	// goroutine and intra-object accumulation may shard across the
-	// engine's worker budget. The report is byte-identical either way.
+	// goroutine, which runs the hooks and intra-object accumulation. The
+	// report is byte-identical either way.
 	Pipelined bool
 }
 
@@ -73,24 +73,6 @@ func ProfileWith(w *workloads.Workload, spec gpu.DeviceSpec, v workloads.Variant
 		return nil, err
 	}
 	return res[0].Report, nil
-}
-
-// RunNative executes a workload variant with no instrumentation and
-// returns the simulated device time in cycles. Native runs back the
-// paper's speedup columns, so they take the engine's exclusive timed
-// lane and are never cached.
-func RunNative(w *workloads.Workload, spec gpu.DeviceSpec, v workloads.Variant) (uint64, error) {
-	res, err := engine.Default().Run([]engine.RunSpec{{
-		Mode:     engine.ModeNative,
-		Workload: w,
-		Spec:     spec,
-		Variant:  v,
-		Opts:     engine.RunOpts{Timed: true},
-	}})
-	if err != nil {
-		return 0, err
-	}
-	return res[0].Cycles, nil
 }
 
 // Table1Row is one program's detected pattern set.
@@ -220,10 +202,10 @@ func Table4() ([]Table4Row, error) {
 	return Table4With(engine.Default())
 }
 
-// Table4With is Table4 on a caller-supplied engine. The 24 peak-reduction
-// profiles fan out over the worker pool; the speedup rows measure
-// execution time, so their native runs go through the engine's exclusive
-// timed lane, one at a time with no concurrent neighbors.
+// Table4With is Table4 on a caller-supplied engine. The peak-reduction
+// profiles and the speedup rows' native runs fan out over the worker pool.
+// Speedups are ratios of simulated cycles, which are deterministic, so the
+// native runs are ordinary cached runs.
 func Table4With(e *engine.Engine) ([]Table4Row, error) {
 	specs := []gpu.DeviceSpec{gpu.SpecRTX3090(), gpu.SpecA100()}
 	ws := workloads.All()
@@ -253,7 +235,6 @@ func Table4With(e *engine.Engine) ([]Table4Row, error) {
 					Workload: w,
 					Spec:     spec,
 					Variant:  v,
-					Opts:     engine.RunOpts{Timed: true},
 				})
 			}
 		}

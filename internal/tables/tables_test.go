@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"drgpum/internal/core"
+	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
 	"drgpum/internal/gui"
 	"drgpum/internal/pattern"
@@ -151,6 +152,36 @@ func TestTable5Coverage(t *testing.T) {
 		if r.ComputeSanitizer != wantCS {
 			t.Errorf("%s: Compute Sanitizer = %v, paper says %v", r.Pattern, r.ComputeSanitizer, wantCS)
 		}
+	}
+}
+
+// TestTable4NativeRunsCached pins that Table 4's speedup columns come from
+// ordinary cached runs: they read only simulated cycles, which are
+// deterministic, so no run takes the engine's exclusive timed lane, and a
+// second call on the same engine executes nothing and renders the same
+// bytes.
+func TestTable4NativeRunsCached(t *testing.T) {
+	e := engine.New(engine.Config{})
+	render := func() ([]byte, engine.Stats) {
+		rows, err := Table4With(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		RenderTable4(&b, rows)
+		return b.Bytes(), e.Stats()
+	}
+	first, st1 := render()
+	if st1.Timed != 0 {
+		t.Errorf("Table4With took the timed lane %d times, want 0", st1.Timed)
+	}
+	second, st2 := render()
+	if st2.Misses != st1.Misses || st2.Timed != st1.Timed {
+		t.Errorf("second Table4With executed runs: misses %d -> %d, timed %d -> %d",
+			st1.Misses, st2.Misses, st1.Timed, st2.Timed)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("second Table4With rendered different bytes (%d vs %d)", len(second), len(first))
 	}
 }
 

@@ -52,7 +52,8 @@ func BenchmarkMemoryMapLookup(b *testing.B) {
 
 // BenchmarkCollectorAccessBatch measures the full attribution path of an
 // instrumented kernel's access stream: OnAccessBatch → MemoryMap lookup →
-// sink dispatch, with a sink that counts attributed accesses.
+// one sink call per same-object run, with a sink that counts attributed
+// accesses.
 func BenchmarkCollectorAccessBatch(b *testing.B) {
 	const nObj = 64
 	const batchLen = 4096
@@ -95,4 +96,6 @@ func BenchmarkCollectorAccessBatch(b *testing.B) {
 
 type countingSink struct{ n int }
 
-func (s *countingSink) ObjectAccess(o *Object, rec *gpu.APIRecord, a gpu.MemAccess) { s.n++ }
+func (s *countingSink) ObjectAccessRun(o *Object, rec *gpu.APIRecord, run []gpu.MemAccess) {
+	s.n += len(run)
+}

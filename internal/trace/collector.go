@@ -9,23 +9,15 @@ import (
 
 // AccessSink receives object-attributed memory accesses of instrumented
 // kernels. The intra-object analyzer implements this to maintain its access
-// bitmaps and frequency maps (paper §5.2).
+// bitmaps and frequency maps (paper §5.2). Kernel access streams have
+// strong spatial locality, so the collector groups runs of consecutive
+// accesses that attribute to the same object and delivers each run in one
+// call. The run slice aliases the collector's batch buffer and is only
+// valid for the duration of the call.
 type AccessSink interface {
-	// ObjectAccess reports one memory instruction that touched object o
-	// while GPU API rec (always a kernel launch) was executing.
-	ObjectAccess(o *Object, rec *gpu.APIRecord, a gpu.MemAccess)
-}
-
-// BatchAccessSink is an optional AccessSink extension. Kernel access
-// streams have strong spatial locality, so the collector groups runs of
-// consecutive accesses that attribute to the same object and, when the sink
-// implements this interface, delivers each run in one call instead of one
-// call per access. The run slice aliases the collector's batch buffer and
-// is only valid for the duration of the call.
-type BatchAccessSink interface {
-	AccessSink
 	// ObjectAccessRun reports a maximal run of consecutive memory
-	// instructions that all touched object o while rec was executing.
+	// instructions that all touched object o while GPU API rec (always a
+	// kernel launch) was executing.
 	ObjectAccessRun(o *Object, rec *gpu.APIRecord, run []gpu.MemAccess)
 }
 
@@ -39,9 +31,6 @@ type Collector struct {
 	mmap     *MemoryMap
 
 	sink AccessSink
-	// batchSink is sink's BatchAccessSink form when it implements one
-	// (resolved once in SetSink, not per batch).
-	batchSink BatchAccessSink
 
 	// hostTrace mirrors gpu.ObjectIDHostTrace: kernel object touches are
 	// reconstructed on the host from the raw access stream instead of from
@@ -84,10 +73,7 @@ func NewCollector() *Collector {
 }
 
 // SetSink installs the intra-object access consumer.
-func (c *Collector) SetSink(s AccessSink) {
-	c.sink = s
-	c.batchSink, _ = s.(BatchAccessSink)
-}
+func (c *Collector) SetSink(s AccessSink) { c.sink = s }
 
 // SetObs installs a self-observability recorder: API and access-batch
 // ingestion report spans under ingest/ and feed the event counters. Safe to
@@ -284,7 +270,7 @@ func (c *Collector) attributeRanges(info *APIInfo, rec *gpu.APIRecord) {
 // forwards it to the intra-object sink. Attribution exploits the stream's
 // spatial locality twice: the memory map's last-hit cache short-circuits
 // the per-access binary search, and runs of consecutive accesses landing in
-// the same object are forwarded as one BatchAccessSink call. In host-trace
+// the same object are forwarded as one AccessSink call. In host-trace
 // mode it additionally reconstructs the kernel's object touch set (the
 // expensive path the paper's Figure 5 optimization avoids).
 func (c *Collector) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {
@@ -326,19 +312,12 @@ func (c *Collector) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {
 	sp.End()
 }
 
-// flushRun forwards one same-object run to the sink: a single call for
-// batch-aware sinks, per-access calls otherwise.
+// flushRun forwards one same-object run to the sink.
 func (c *Collector) flushRun(rec *gpu.APIRecord, o *Object, run []gpu.MemAccess) {
 	if o == nil || len(run) == 0 {
 		return
 	}
-	if c.batchSink != nil {
-		c.batchSink.ObjectAccessRun(o, rec, run)
-		return
-	}
-	for i := range run {
-		c.sink.ObjectAccess(o, rec, run[i])
-	}
+	c.sink.ObjectAccessRun(o, rec, run)
 }
 
 // appendUnique appends id if it is not already present (touch lists per API
