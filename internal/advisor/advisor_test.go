@@ -16,7 +16,7 @@ import (
 func analyze(program func(dev *gpu.Device)) (*trace.Trace, []pattern.Finding) {
 	dev := gpu.NewDevice(gpu.SpecTest())
 	c := trace.NewCollector()
-	dev.SetLiveRangesProvider(c.LiveRanges)
+	dev.SetLiveRangesProvider(c.LiveTable)
 	dev.AddHook(c)
 	dev.SetPatchLevel(gpu.PatchAPI)
 	program(dev)
@@ -251,7 +251,7 @@ func TestMarginalSavingsAllocsPerFinding(t *testing.T) {
 func BenchmarkAdvise(b *testing.B) {
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	c := trace.NewCollector()
-	dev.SetLiveRangesProvider(c.LiveRanges)
+	dev.SetLiveRangesProvider(c.LiveTable)
 	dev.AddHook(c)
 	dev.SetPatchLevel(gpu.PatchAPI)
 	var live []gpu.DevicePtr

@@ -197,7 +197,7 @@ func Attach(dev *gpu.Device, cfg Config) *Profiler {
 	dev.SetObjectIDMode(cfg.ObjectIDMode)
 	// The hit-flag object table must come from the profiler's memory map M,
 	// not the raw allocator, so pool tensors (paper §5.4) resolve correctly.
-	dev.SetLiveRangesProvider(p.collector.LiveRanges)
+	dev.SetLiveRangesProvider(p.collector.LiveTable)
 	dev.AddHook(p.collector)
 	// After the collector: the arrival hook's OnAPI must see the
 	// just-appended APIInfo with final touch sets.

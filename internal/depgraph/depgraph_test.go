@@ -16,7 +16,7 @@ import (
 func buildTrace(program func(dev *gpu.Device)) *trace.Trace {
 	dev := gpu.NewDevice(gpu.SpecTest())
 	c := trace.NewCollector()
-	dev.SetLiveRangesProvider(c.LiveRanges)
+	dev.SetLiveRangesProvider(c.LiveTable)
 	dev.AddHook(c)
 	dev.SetPatchLevel(gpu.PatchAPI)
 	program(dev)
@@ -278,7 +278,7 @@ func FuzzIncrementalMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dev := gpu.NewDevice(gpu.SpecTest())
 		c := trace.NewCollector()
-		dev.SetLiveRangesProvider(c.LiveRanges)
+		dev.SetLiveRangesProvider(c.LiveTable)
 		dev.AddHook(c)
 		hook := &arrivalHook{t: c.Trace(), inc: NewIncremental()}
 		dev.AddHook(hook)

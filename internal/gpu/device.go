@@ -134,7 +134,7 @@ type Device struct {
 	patch      PatchLevel
 	objectID   ObjectIDMode
 	instrument func(kernel string, launch uint64) bool
-	liveRanges func() []Range
+	liveRanges func() ([]Range, []uint32)
 
 	apiIndex     uint64
 	seqCounters  map[seqKey]int
@@ -253,12 +253,12 @@ func (d *Device) DisableCostModel() { d.costTracker = nil }
 // model is enabled.
 func (d *Device) CostModelSpec() (costmodel.Spec, bool) { return d.costSpec, d.costTracker != nil }
 
-// SetLiveRangesProvider overrides the source of the live-object table used
-// by the kernel hit-flag scheme. By default the allocator's live blocks are
-// used; a profiler integrating a custom memory pool substitutes its own
-// memory map M so kernel accesses attribute to pool tensors rather than to
-// the pool's backing segments (paper §5.4).
-func (d *Device) SetLiveRangesProvider(f func() []Range) { d.liveRanges = f }
+// SetLiveRangesProvider replaces the allocator's live blocks as the source of
+// each launch's hit table: a profiler hands in its memory map M, so accesses
+// attribute to pool tensors, not segments (paper §5.4). Launch calls f once
+// and copies the ranges, in address order, and the tags from the same call,
+// one per range or nil; with disjoint rows each access carries its row's tag.
+func (d *Device) SetLiveRangesProvider(f func() (ranges []Range, tags []uint32)) { d.liveRanges = f }
 
 // CustomAlloc surfaces an allocation performed by a custom memory API (a
 // pool tensor request). It emits an allocation-kind API record without

@@ -195,6 +195,16 @@ type MemAccess struct {
 	// DrGPUM itself is value-agnostic and ignores it.
 	Value    uint64
 	HasValue bool
+	// Tag is the object tag of the hit-table row the device resolved the
+	// access to, as the live-ranges provider handed it out (see
+	// Device.SetLiveRangesProvider). The device sets it only on a launch
+	// whose rows are pairwise disjoint, where an address lies in at most
+	// one row. The zero value means "not resolved": shared-memory
+	// accesses, accesses outside every row, host-trace launches, launches
+	// with overlapping rows, providers without tags and hand-built
+	// records all carry 0, and a consumer that needs the object resolves
+	// the address itself.
+	Tag uint32
 }
 
 // Dim3 is a CUDA-style launch dimension.

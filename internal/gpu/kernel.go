@@ -35,10 +35,13 @@ func (k KernelFunc) Run(ctx *ExecContext) { k.Body(ctx) }
 // hitEntry is one row of the device-resident object table of paper Figure 5:
 // an address range plus read/write hit flags. blk is the live allocation
 // whose user bytes hold the whole range (nil when none does), so the row
-// that resolves an access also yields its backing bytes.
+// that resolves an access also yields its backing bytes. tag is the
+// provider's object tag for the row, kept only when the rows are pairwise
+// disjoint (0 otherwise), so the row also names the access's object.
 type hitEntry struct {
 	rng      Range
 	blk      *block
+	tag      uint32
 	readHit  bool
 	writeHit bool
 }
@@ -128,8 +131,10 @@ func (c *ExecContext) SharedAlloc(n int) int {
 // A row gets a block only if the block's user bytes hold all of it, so
 // every address the row resolves lies in that block; any other row, and
 // any address outside every row, falls back to Allocator.lookup. It also
-// records whether the rows are pairwise disjoint (see slotMask).
-func (c *ExecContext) loadTable(live []Range, blocks []*block) {
+// records whether the rows are pairwise disjoint (see slotMask), and only
+// then keeps the rows' tags: with disjoint rows the row an address
+// resolves to is the one row holding it, so its tag names the object.
+func (c *ExecContext) loadTable(live []Range, tags []uint32, blocks []*block) {
 	c.table = make([]hitEntry, len(live))
 	c.slotMask = 3
 	j := 0
@@ -146,6 +151,11 @@ func (c *ExecContext) loadTable(live []Range, blocks []*block) {
 		}
 		if i > 0 && uint64(r.Addr-live[i-1].Addr) < live[i-1].Size {
 			c.slotMask = 0
+		}
+	}
+	if c.slotMask != 0 {
+		for i := range min(len(tags), len(c.table)) {
+			c.table[i].tag = tags[i]
 		}
 	}
 }
@@ -202,7 +212,7 @@ func (c *ExecContext) access(addr DevicePtr, size uint32, kind AccessKind) []byt
 // data stream without a second instrumentation pass. Native and host-trace
 // accesses find their bytes with Allocator.lookup. A profiled access
 // resolves its hit-table row once, and the row gives the hit flag, the
-// cost-model entry and the backing bytes.
+// cost-model entry, the backing bytes and the record's object tag.
 func (c *ExecContext) accessVal(addr DevicePtr, size uint32, kind AccessKind, val uint64, hasVal bool) []byte {
 	c.accessCycles += c.dev.spec.GlobalLatency
 	if c.dev.patch == PatchNone {
@@ -219,7 +229,11 @@ func (c *ExecContext) accessVal(addr DevicePtr, size uint32, kind AccessKind, va
 	}
 	data := c.backing(b, addr, size, kind)
 	if c.instrumented {
-		c.dev.pushAccess(c.rec, MemAccess{Addr: addr, Size: size, Kind: kind, Space: SpaceGlobal, Value: val, HasValue: hasVal})
+		var tag uint32
+		if i >= 0 {
+			tag = c.table[i].tag
+		}
+		c.dev.pushAccess(c.rec, MemAccess{Addr: addr, Size: size, Kind: kind, Space: SpaceGlobal, Value: val, HasValue: hasVal, Tag: tag})
 	}
 	if i >= 0 {
 		if kind == AccessRead {
@@ -410,12 +424,13 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 			// "Copy M to the GPU at each kernel launch and associate each
 			// entry with a hit flag" (paper Figure 5).
 			var live []Range
+			var tags []uint32
 			if d.liveRanges != nil {
-				live = d.liveRanges()
+				live, tags = d.liveRanges()
 			} else {
 				live = d.alloc.Live()
 			}
-			ctx.loadTable(live, d.alloc.blocks)
+			ctx.loadTable(live, tags, d.alloc.blocks)
 			if d.costTracker != nil && len(ctx.table) > 0 {
 				d.costTracker.Reset(len(ctx.table))
 				ctx.cost = d.costTracker

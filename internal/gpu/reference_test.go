@@ -130,10 +130,13 @@ func (r *fuzzBytes) next() int {
 // its live blocks in allocation order, and the memory map rows the live-
 // ranges provider hands each launch, kept in address order with equal
 // bases in insertion order, the way the collector's memory map keeps them.
+// Each row has a distinct nonzero tag, handed out in insertion order.
 type fuzzLiveSet struct {
-	dev    *Device
-	blocks []DevicePtr
-	rows   []Range
+	dev     *Device
+	blocks  []DevicePtr
+	rows    []Range
+	tags    []uint32
+	nextTag uint32
 }
 
 func (s *fuzzLiveSet) insertRow(r Range) {
@@ -141,6 +144,31 @@ func (s *fuzzLiveSet) insertRow(r Range) {
 	s.rows = append(s.rows, Range{})
 	copy(s.rows[i+1:], s.rows[i:])
 	s.rows[i] = r
+	s.nextTag++
+	s.tags = append(s.tags, 0)
+	copy(s.tags[i+1:], s.tags[i:])
+	s.tags[i] = s.nextTag
+}
+
+// table is the fuzz input's live-ranges provider: copies of the rows and
+// their tags.
+func (s *fuzzLiveSet) table() ([]Range, []uint32) {
+	return append([]Range(nil), s.rows...), append([]uint32(nil), s.tags...)
+}
+
+// rowsDisjoint reports whether no row starts inside another, checked over
+// every pair. A zero-size row inside another counts as overlap: it holds
+// no address, but a search can land on it and miss the row around it, so
+// an address's row then depends on what the search saw before.
+func rowsDisjoint(rows []Range) bool {
+	for i := range rows {
+		for j := i + 1; j < len(rows); j++ {
+			if uint64(rows[j].Addr-rows[i].Addr) < rows[i].Size {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // op applies one three-byte live-set operation:
@@ -177,6 +205,7 @@ func (s *fuzzLiveSet) op(op, a, b int) {
 		for i, r := range s.rows {
 			if r.Addr == p && r.Size == blk.req {
 				s.rows = append(s.rows[:i], s.rows[i+1:]...)
+				s.tags = append(s.tags[:i], s.tags[i+1:]...)
 				break
 			}
 		}
@@ -283,18 +312,23 @@ func sameBytes(a, b []byte) bool {
 // few launches of access runs, and checks every profiled access against
 // the reference resolution (refContext): per access, the row it resolves
 // to and the backing bytes or the fault; per launch, the read and write
-// hit sets, the faults, the KernelCost and, at PatchFull, the recorded
-// accesses. Between launches the live set changes, so later launches see
-// freed, quarantined and reused space.
+// hit sets, the faults, the KernelCost and the recorded accesses with
+// their tags. A record carries the tag of the reference row when the
+// launch's rows are disjoint (rowsDisjoint), and 0 when they overlap, in
+// host-trace mode and when the table has no tags. Between launches the
+// live set changes, so later launches see freed, quarantined and reused
+// space.
 //
 // Input layout: byte 0 is a flag set (bit 0 red zones, bit 1 a
 // quarantine, bit 2 PatchFull instead of PatchAPI, bit 3 cost model off,
-// bit 4 the allocator's own live ranges instead of the memory-map rows),
-// byte 1 the launch count (1-3). Each launch reads an operation count
-// (one byte, 0-7), that many three-byte live-set operations
-// (fuzzLiveSet.op), then its access runs (decodeRuns). The seed corpus in
-// testdata/fuzz covers disjoint, nested and stray rows, zero-size rows,
-// red zones and quarantined frees, and every access shape.
+// bit 4 the allocator's own live ranges instead of the memory-map rows,
+// bit 5 host-trace object identification, bit 6 a provider that hands
+// out no tags), byte 1 the launch count (1-3). Each launch reads an
+// operation count (one byte, 0-7), that many three-byte live-set
+// operations (fuzzLiveSet.op), then its access runs (decodeRuns). The
+// seed corpus in testdata/fuzz covers disjoint, nested and stray rows,
+// zero-size rows, red zones and quarantined frees, host-trace launches,
+// untagged tables, and every access shape.
 func FuzzResolveMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{b: data}
@@ -319,11 +353,19 @@ func FuzzResolveMatchesReference(f *testing.F) {
 			refCost = costmodel.NewTracker(spec, costmodel.NewCache(spec.L2Sets, spec.L2Ways), 0)
 		}
 		set := &fuzzLiveSet{dev: dev}
-		live := func() []Range { return append([]Range(nil), set.rows...) }
-		if flags&16 != 0 {
-			live = dev.alloc.Live
-		} else {
+		live := set.table
+		switch {
+		case flags&16 != 0:
+			live = func() ([]Range, []uint32) { return dev.alloc.Live(), nil }
+		case flags&64 != 0:
+			live = func() ([]Range, []uint32) { return append([]Range(nil), set.rows...), nil }
 			dev.SetLiveRangesProvider(live)
+		default:
+			dev.SetLiveRangesProvider(live)
+		}
+		hostTrace := flags&32 != 0
+		if hostTrace {
+			dev.SetObjectIDMode(ObjectIDHostTrace)
 		}
 		hook := &recordingHook{}
 		dev.AddHook(hook)
@@ -336,14 +378,34 @@ func FuzzResolveMatchesReference(f *testing.F) {
 			accs := decodeRuns(r, set.targets())
 			batches := len(hook.batches)
 			var ref *refContext
+			// At PatchFull, and at any level in host-trace mode, every
+			// access is recorded, in order, resolved or not.
+			record := level == PatchFull || hostTrace
+			var wantPushed []MemAccess
 			err := dev.LaunchFunc(nil, "fuzz", Dim1(1), Dim1(32), func(ctx *ExecContext) {
-				ref = newRefContext(dev, live(), refCost)
+				// A host-trace launch builds no table: no row, hit flag or
+				// cost, and no tag.
+				rows, tags := live()
+				if hostTrace {
+					rows, tags = nil, nil
+				}
+				ref = newRefContext(dev, rows, refCost)
+				if !rowsDisjoint(rows) {
+					tags = nil
+				}
 				for n, a := range accs {
 					// Resolve on a copy: it sees the slots this access will
 					// probe and leaves the real ones untouched.
 					probe := *ctx
 					row, _ := probe.resolve(a.addr)
 					wantRow, want := ref.access(a.addr, a.size, a.kind)
+					if record {
+						var tag uint32
+						if wantRow >= 0 && tags != nil {
+							tag = tags[wantRow]
+						}
+						wantPushed = append(wantPushed, MemAccess{Addr: a.addr, Size: a.size, Kind: a.kind, Space: SpaceGlobal, Tag: tag})
+					}
 					got := ctx.access(a.addr, a.size, a.kind)
 					if row != wantRow {
 						t.Fatalf("launch %d access %d (%#x, %d bytes): row %d, want %d", l, n, uint64(a.addr), a.size, row, wantRow)
@@ -372,18 +434,17 @@ func FuzzResolveMatchesReference(f *testing.F) {
 			if !reflect.DeepEqual(rec.Cost, cost) {
 				t.Fatalf("launch %d: cost\n got %+v\nwant %+v", l, rec.Cost, cost)
 			}
-			// At PatchFull every access is recorded, in order, resolved or not.
-			var pushed, wantPushed []MemAccess
+			var pushed []MemAccess
 			for _, b := range hook.batches[batches:] {
 				pushed = append(pushed, b...)
 			}
-			if level == PatchFull {
-				for _, a := range accs {
-					wantPushed = append(wantPushed, MemAccess{Addr: a.addr, Size: a.size, Kind: a.kind, Space: SpaceGlobal})
-				}
-			}
-			if !reflect.DeepEqual(pushed, wantPushed) {
+			if len(pushed) != len(wantPushed) {
 				t.Fatalf("launch %d: %d access records, want %d", l, len(pushed), len(wantPushed))
+			}
+			for n := range pushed {
+				if pushed[n] != wantPushed[n] {
+					t.Fatalf("launch %d access %d: record %+v, want %+v", l, n, pushed[n], wantPushed[n])
+				}
 			}
 		}
 	})

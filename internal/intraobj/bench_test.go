@@ -24,86 +24,91 @@ func benchObjects(n, elems int) []*trace.Object {
 }
 
 // benchBatchLen is the device's access-batch length (gpu.accessBatchSize):
-// the collector never hands the recorder a run longer than one batch.
+// the collector hands the recorder one batch per call.
 const benchBatchLen = 4096
 
-// sweep returns n accesses of width bytes each, walking o from its base.
+// sweep returns n accesses of width bytes each, walking o from its base,
+// tagged with o the way the collector hands them over.
 func sweep(o *trace.Object, n, width int) []gpu.MemAccess {
 	acc := make([]gpu.MemAccess, n)
 	for i := range acc {
-		acc[i] = gpu.MemAccess{Addr: o.Ptr + gpu.DevicePtr(i*width), Size: uint32(width), Space: gpu.SpaceGlobal}
+		acc[i] = gpu.MemAccess{Addr: o.Ptr + gpu.DevicePtr(i*width), Size: uint32(width), Space: gpu.SpaceGlobal, Tag: trace.ObjectTag(o.ID)}
 	}
 	return acc
 }
 
-// deliver hands one kernel's single-object access stream to the recorder
-// the way Collector.OnAccessBatch does: one ObjectAccessRun per device
-// batch.
-func deliver(r *Recorder, o *trace.Object, rec *gpu.APIRecord, acc []gpu.MemAccess) {
+// interleave returns n accesses of width bytes each that cycle through
+// objs element by element (A[i], B[i], C[i], A[i+1], ...), the operand
+// shape of `acc += A[i*N+k]*B[k*N+j]` kernels, where every same-object
+// run is one access long.
+func interleave(objs []*trace.Object, n, width int) []gpu.MemAccess {
+	acc := make([]gpu.MemAccess, n)
+	for i := range acc {
+		o := objs[i%len(objs)]
+		acc[i] = gpu.MemAccess{Addr: o.Ptr + gpu.DevicePtr(i/len(objs)*width), Size: uint32(width), Space: gpu.SpaceGlobal, Tag: trace.ObjectTag(o.ID)}
+	}
+	return acc
+}
+
+// deliver hands one kernel's access stream to the recorder the way
+// Collector.OnAccessBatch does: one ObjectAccessBatch per device batch.
+func deliver(r *Recorder, objs []*trace.Object, rec *gpu.APIRecord, acc []gpu.MemAccess) {
 	for len(acc) > 0 {
 		n := min(len(acc), benchBatchLen)
-		r.ObjectAccessRun(o, rec, acc[:n])
+		r.ObjectAccessBatch(rec, acc[:n], objs)
 		acc = acc[n:]
 	}
 }
 
 // BenchmarkRecorderIngest measures the recorder's access-ingestion hot path
-// (same-object runs + per-API finalization), the dominant cost of
-// intra-object profiling (paper §5.5, Figure 6's 3.5-4x overhead band).
+// (per-record state lookup and map update, plus per-API finalization), the
+// dominant cost of intra-object profiling (paper §5.5, Figure 6's 3.5-4x
+// overhead band).
 func BenchmarkRecorderIngest(b *testing.B) {
 	const elems = 1 << 14
 
-	// pointwise: one element per access, sweeping the object — the shape of
-	// an instrumented elementwise kernel.
-	b.Run("pointwise", func(b *testing.B) {
-		o := benchObjects(1, elems)[0]
-		acc := sweep(o, elems, 4)
-		r := NewRecorder(0)
+	// run times one recorder over b.N kernels, each delivering acc.
+	run := func(b *testing.B, capacity uint64, objs []*trace.Object, acc []gpu.MemAccess) {
+		r := NewRecorder(capacity)
 		rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec.Index = uint64(i)
-			deliver(r, o, rec, acc)
+			deliver(r, objs, rec, acc)
 		}
 		b.StopTimer()
 		r.Flush()
-		b.ReportMetric(float64(elems), "accesses/op")
+		b.ReportMetric(float64(len(acc)), "accesses/op")
+	}
+
+	// pointwise: one element per access, sweeping the object — the shape of
+	// an instrumented elementwise kernel.
+	b.Run("pointwise", func(b *testing.B) {
+		objs := benchObjects(1, elems)
+		run(b, 0, objs, sweep(objs[0], elems, 4))
+	})
+
+	// interleaved: three operands read element by element in turn, so
+	// consecutive accesses never hit the same object.
+	b.Run("interleaved", func(b *testing.B) {
+		objs := benchObjects(3, elems)
+		run(b, 0, objs, interleave(objs, elems, 4))
 	})
 
 	// ranged: each access covers a 1 KiB run of elements — the shape of
 	// vectorized/coalesced kernels, where per-element map updates hurt most.
 	b.Run("ranged", func(b *testing.B) {
 		const span = 1024 // bytes per access = 256 elements
-		o := benchObjects(1, elems)[0]
-		acc := sweep(o, elems*4/span, span)
-		r := NewRecorder(0)
-		rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rec.Index = uint64(i)
-			deliver(r, o, rec, acc)
-		}
-		b.StopTimer()
-		r.Flush()
+		objs := benchObjects(1, elems)
+		run(b, 0, objs, sweep(objs[0], elems*4/span, span))
 	})
 
 	// host-spill: a capacity of one byte forces the host-side map-update
 	// mode, exercising the spill buffer and its replay at finalization.
 	b.Run("host-spill", func(b *testing.B) {
-		o := benchObjects(1, elems)[0]
-		acc := sweep(o, elems, 4)
-		r := NewRecorder(1)
-		rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rec.Index = uint64(i)
-			deliver(r, o, rec, acc)
-		}
-		b.StopTimer()
-		r.Flush()
+		objs := benchObjects(1, elems)
+		run(b, 1, objs, sweep(objs[0], elems, 4))
 	})
 
 	// many-objects: 256 tracked objects but each kernel touches only one —
@@ -119,15 +124,15 @@ func BenchmarkRecorderIngest(b *testing.B) {
 		r := NewRecorder(0)
 		rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
 		// Register every object once so the tracked set is fully populated.
-		for i, o := range objs {
+		for i := range objs {
 			rec.Index = uint64(i)
-			deliver(r, o, rec, acc[i][:1])
+			deliver(r, objs, rec, acc[i][:1])
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec.Index = uint64(nObj + i)
-			deliver(r, objs[i%nObj], rec, acc[i%nObj])
+			deliver(r, objs, rec, acc[i%nObj])
 		}
 		b.StopTimer()
 		r.Flush()

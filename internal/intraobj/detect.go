@@ -193,13 +193,7 @@ func structuredSavings(st *objState) uint64 {
 // returns the total access count per bucket. The paper's GUI plots this to
 // help users pick hot slices for shared-memory placement (§5.2, §7.3).
 func (r *Recorder) FrequencyHistogram(id int, buckets int) []uint64 {
-	var st *objState
-	for _, oid := range r.order {
-		if int(oid) == id {
-			st = r.states[oid]
-			break
-		}
-	}
+	st := r.state(id)
 	if st == nil || buckets <= 0 {
 		return nil
 	}
@@ -236,10 +230,8 @@ func (r *Recorder) FrequencyHistogram(id int, buckets int) []uint64 {
 // AccessedPctOf returns the accessed-element percentage of an object the
 // recorder observed, and whether it was observed at all.
 func (r *Recorder) AccessedPctOf(id int) (float64, bool) {
-	for _, oid := range r.order {
-		if int(oid) == id {
-			return r.states[oid].accessedPct(), true
-		}
+	if st := r.state(id); st != nil {
+		return st.accessedPct(), true
 	}
 	return 0, false
 }

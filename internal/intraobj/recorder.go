@@ -2,6 +2,7 @@ package intraobj
 
 import (
 	"math"
+	"math/bits"
 
 	"drgpum/internal/gpu"
 	"drgpum/internal/obs"
@@ -40,6 +41,15 @@ type ModeStats struct {
 type objState struct {
 	obj   *trace.Object
 	elems int
+
+	// base is the object's address and es its element width (ElemSize, 4
+	// when unset); shift is log2(es) when es is a power of two and -1
+	// otherwise, so a byte offset becomes an element index by a shift or,
+	// failing that, a division. beginAPI refreshes all three: Annotate may
+	// set the element size after the state was created.
+	base  gpu.DevicePtr
+	es    uint64
+	shift int
 
 	// cumulative access bitmap across all instrumented kernels — drives
 	// overallocation and the structured-access "claimed" check.
@@ -108,20 +118,16 @@ type Recorder struct {
 	// objects; the profiler wires this to the device allocator.
 	LiveBytes func() uint64
 
-	states map[trace.ObjectID]*objState
-	order  []trace.ObjectID // insertion order for deterministic reports
+	// states is the per-object state table, indexed by ObjectID: nil for
+	// an object no instrumented kernel has touched. An access finds its
+	// object's state with one indexed load.
+	states []*objState
+	order  []trace.ObjectID // first-touch order for deterministic reports
 
 	// active lists the objects touched by the in-flight API in first-touch
 	// order, so finalization visits exactly the touched set instead of
 	// every object ever seen.
 	active []*objState
-	// stateCache is a small direct-mapped cache over states, indexed by
-	// ObjectID&7. Kernel streams cycle through a handful of operands (A, r
-	// and s for `s[j] += A[i][j]*r[i]`), so nearly every access resolves
-	// its state with one index and one compare instead of a map lookup and
-	// activation check. Entries are only trusted while active for the
-	// in-flight API.
-	stateCache [8]*objState
 	// mapBytesTotal is the incrementally-maintained access-map footprint of
 	// all tracked objects (what mapBytes re-summed before every kernel).
 	mapBytesTotal uint64
@@ -150,10 +156,7 @@ var _ trace.AccessSink = (*Recorder)(nil)
 // for the adaptive mode decision. A zero capacity always selects device
 // maps.
 func NewRecorder(capacityBytes uint64) *Recorder {
-	return &Recorder{
-		CapacityBytes: capacityBytes,
-		states:        make(map[trace.ObjectID]*objState),
-	}
+	return &Recorder{CapacityBytes: capacityBytes}
 }
 
 // Stats returns the adaptive-mode kernel counts.
@@ -192,27 +195,72 @@ func (r *Recorder) chooseMode() MapMode {
 	return MapModeHost
 }
 
-// beginAccess is the ingestion prologue of each run: close the previous
-// API if the stream moved on, resolve (or create) the object's state, and
-// activate it for the current API.
-func (r *Recorder) beginAccess(o *trace.Object, rec *gpu.APIRecord) *objState {
+// ObjectAccessBatch implements trace.AccessSink. Each attributed record
+// costs one indexed load of its object's state plus the check that the
+// state is active for this API. A zero-byte record touches no element, so
+// it is skipped like an unattributed one. The first attributed record of
+// a new API closes the previous API and makes the API's map-mode decision.
+func (r *Recorder) ObjectAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess, objs []*trace.Object) {
+	i := 0
+	for i < len(batch) && (batch[i].Tag == 0 || batch[i].Size == 0) {
+		i++
+	}
+	if i == len(batch) {
+		return
+	}
 	if !r.haveAPI || rec.Index != r.curAPI {
-		r.finalizeAPI()
-		r.curAPI = rec.Index
-		r.haveAPI = true
-		r.curMode = r.chooseMode()
-		if r.curMode == MapModeDevice {
-			r.modeStats.DeviceKernels++
+		r.startAPI(rec)
+	}
+	host := r.curMode == MapModeHost
+	for ; i < len(batch); i++ {
+		a := &batch[i]
+		if a.Tag == 0 || a.Size == 0 {
+			continue
+		}
+		id := a.Tag - 1
+		var st *objState
+		if int(id) < len(r.states) {
+			st = r.states[id]
+		}
+		if st == nil || !st.curActive {
+			st = r.activate(objs[id], rec)
+		}
+		off := uint64(a.Addr - st.base)
+		last := off + uint64(a.Size) - 1
+		var lo, hi int
+		if st.shift >= 0 {
+			lo, hi = int(off>>st.shift), int(last>>st.shift)
 		} else {
-			r.modeStats.HostKernels++
+			lo, hi = int(off/st.es), int(last/st.es)
+		}
+		if host {
+			st.addSpill(lo, hi)
+		} else {
+			st.update(lo, hi)
 		}
 	}
+}
 
-	// curActive can only be true for the in-flight API (finalizeAPI clears
-	// it), so an active cached state needs no further validation.
-	slot := uint(o.ID) & 7
-	if st := r.stateCache[slot]; st != nil && st.obj == o && st.curActive {
-		return st
+// startAPI closes the previous API and opens rec's, with its map-mode
+// decision.
+func (r *Recorder) startAPI(rec *gpu.APIRecord) {
+	r.finalizeAPI()
+	r.curAPI = rec.Index
+	r.haveAPI = true
+	r.curMode = r.chooseMode()
+	if r.curMode == MapModeDevice {
+		r.modeStats.DeviceKernels++
+	} else {
+		r.modeStats.HostKernels++
+	}
+}
+
+// activate returns object o's state, created on the object's first touch,
+// opened for the in-flight API. curActive is only true for the in-flight
+// API (finalizeAPI clears it), so an active state needs no activation.
+func (r *Recorder) activate(o *trace.Object, rec *gpu.APIRecord) *objState {
+	for int(o.ID) >= len(r.states) {
+		r.states = append(r.states, nil)
 	}
 	st := r.states[o.ID]
 	if st == nil {
@@ -225,33 +273,16 @@ func (r *Recorder) beginAccess(o *trace.Object, rec *gpu.APIRecord) *objState {
 		st.beginAPI(rec.Index, rec.Name)
 		r.active = append(r.active, st)
 	}
-	r.stateCache[slot] = st
 	return st
 }
 
-// ObjectAccessRun implements trace.AccessSink: a run of consecutive
-// accesses that all hit the same object during the same API pays the state
-// lookup, activation check and mode branch once instead of per access.
-func (r *Recorder) ObjectAccessRun(o *trace.Object, rec *gpu.APIRecord, run []gpu.MemAccess) {
-	if len(run) == 0 {
-		return
+// state returns the state of object id, or nil if no instrumented kernel
+// touched it.
+func (r *Recorder) state(id int) *objState {
+	if uint(id) < uint(len(r.states)) {
+		return r.states[id]
 	}
-	st := r.beginAccess(o, rec)
-	es := uint64(o.ElemSize)
-	if es == 0 {
-		es = 4
-	}
-	host := r.curMode == MapModeHost
-	for i := range run {
-		off := uint64(run[i].Addr - o.Ptr)
-		lo := int(off / es)
-		hi := int((off + uint64(run[i].Size) - 1) / es)
-		if host {
-			st.addSpill(lo, hi)
-		} else {
-			st.update(lo, hi)
-		}
-	}
+	return nil
 }
 
 func newObjState(o *trace.Object) *objState {
@@ -277,6 +308,15 @@ func (st *objState) beginAPI(api uint64, kernel string) {
 		st.curTouched = NewBitmap(st.elems)
 	}
 	st.curLo, st.curHi = st.elems, -1
+	st.base = st.obj.Ptr
+	st.es = uint64(st.obj.ElemSize)
+	if st.es == 0 {
+		st.es = 4
+	}
+	st.shift = -1
+	if st.es&(st.es-1) == 0 {
+		st.shift = bits.TrailingZeros64(st.es)
+	}
 	st.curAPI = api
 	st.curKernel = kernel
 	st.curActive = true

@@ -17,7 +17,7 @@ func fixture(capacity uint64) (*gpu.Device, *trace.Collector, *Recorder) {
 	r := NewRecorder(capacity)
 	r.LiveBytes = func() uint64 { return dev.MemStats().InUse }
 	c.SetSink(r)
-	dev.SetLiveRangesProvider(c.LiveRanges)
+	dev.SetLiveRangesProvider(c.LiveTable)
 	dev.AddHook(c)
 	dev.SetPatchLevel(gpu.PatchFull)
 	return dev, c, r

@@ -1,7 +1,5 @@
 package intraobj
 
-import "drgpum/internal/trace"
-
 // sealBuckets is the histogram resolution preserved at seal time. It matches
 // the GUI's bucket count, so the common render path reads sealed histograms
 // losslessly; other bucket counts are re-bucketed from the stored 32.
@@ -29,12 +27,12 @@ type sealedState struct {
 //
 // Finalizing the in-flight API early is equivalent to the offline schedule:
 // a free's OnAPI arrives after the accessed kernel's OnAPI, so the folded
-// maps are exactly what the next beginAccess (or Flush) would fold, and the
-// next kernel's mode decision sees identical inputs — mapBytesTotal is
-// deliberately NOT decremented, matching the offline recorder, which never
-// shrinks its map-footprint estimate.
+// maps are exactly what the next API's first access (or Flush) would fold,
+// and the next kernel's mode decision sees identical inputs — mapBytesTotal
+// is deliberately NOT decremented, matching the offline recorder, which
+// never shrinks its map-footprint estimate.
 func (r *Recorder) Seal(id int) {
-	st := r.states[trace.ObjectID(id)]
+	st := r.state(id)
 	if st == nil || st.sealed != nil {
 		return
 	}

@@ -6,7 +6,7 @@ import (
 
 // hookMethodNames are the Sanitizer-analog callback entry points: the
 // gpu.Hook interface (OnAPI, OnAccessBatch), the trace access sink
-// (ObjectAccessRun), and the pipelined-ingest consumer loop
+// (ObjectAccessBatch), and the pipelined-ingest consumer loop
 // (runPipeline) — a goroutine that executes hook work asynchronously
 // while the simulator keeps running, where re-entry is not just a
 // corrupted record but a deadlock (the consumer would wait on the very
@@ -16,10 +16,10 @@ import (
 // works on implementations in any package without needing the
 // interface's type information.
 var hookMethodNames = map[string]bool{
-	"OnAPI":           true,
-	"OnAccessBatch":   true,
-	"ObjectAccessRun": true,
-	"runPipeline":     true,
+	"OnAPI":             true,
+	"OnAccessBatch":     true,
+	"ObjectAccessBatch": true,
+	"runPipeline":       true,
 }
 
 // deviceMutators are the gpu.Device methods that advance simulator state:

@@ -34,8 +34,8 @@ type badSink struct {
 
 var _ trace.AccessSink = (*badSink)(nil)
 
-func (s *badSink) ObjectAccessRun(o *trace.Object, rec *gpu.APIRecord, run []gpu.MemAccess) {
-	if _, err := s.pool.Alloc(16); err != nil { // want `hook ObjectAccessRun calls pool Pool.Alloc`
+func (s *badSink) ObjectAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess, objs []*trace.Object) {
+	if _, err := s.pool.Alloc(16); err != nil { // want `hook ObjectAccessBatch calls pool Pool.Alloc`
 		panic(err)
 	}
 }
@@ -97,8 +97,8 @@ type obsSink struct{ node *obs.Node }
 
 var _ trace.AccessSink = (*obsSink)(nil)
 
-func (s *obsSink) ObjectAccessRun(o *trace.Object, rec *gpu.APIRecord, run []gpu.MemAccess) {
-	s.node.Child("run").Record(0)
+func (s *obsSink) ObjectAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess, objs []*trace.Object) {
+	s.node.Child("batch").Record(0)
 }
 
 // launchElsewhere is not a hook; mutating calls are its business — silent.

@@ -14,7 +14,7 @@ func run(t *testing.T, cfg Config, program func(dev *gpu.Device)) (*trace.Trace,
 	t.Helper()
 	dev := gpu.NewDevice(gpu.SpecTest())
 	c := trace.NewCollector()
-	dev.SetLiveRangesProvider(c.LiveRanges)
+	dev.SetLiveRangesProvider(c.LiveTable)
 	dev.AddHook(c)
 	dev.SetPatchLevel(gpu.PatchAPI)
 	program(dev)
@@ -374,7 +374,7 @@ func TestCleanProgramHasNoFindings(t *testing.T) {
 func TestPoolSegmentsSkipped(t *testing.T) {
 	dev := gpu.NewDevice(gpu.SpecTest())
 	c := trace.NewCollector()
-	dev.SetLiveRangesProvider(c.LiveRanges)
+	dev.SetLiveRangesProvider(c.LiveTable)
 	dev.AddHook(c)
 	dev.SetPatchLevel(gpu.PatchAPI)
 

@@ -12,7 +12,7 @@ import (
 func build(program func(dev *gpu.Device)) *trace.Trace {
 	dev := gpu.NewDevice(gpu.SpecTest())
 	c := trace.NewCollector()
-	dev.SetLiveRangesProvider(c.LiveRanges)
+	dev.SetLiveRangesProvider(c.LiveTable)
 	dev.AddHook(c)
 	dev.SetPatchLevel(gpu.PatchAPI)
 	program(dev)

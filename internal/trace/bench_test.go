@@ -50,14 +50,18 @@ func BenchmarkMemoryMapLookup(b *testing.B) {
 	})
 }
 
-// BenchmarkCollectorAccessBatch measures the full attribution path of an
-// instrumented kernel's access stream: OnAccessBatch → MemoryMap lookup →
-// one sink call per same-object run, with a sink that counts attributed
-// accesses.
-func BenchmarkCollectorAccessBatch(b *testing.B) {
+// accessHarness builds a collector with 64 live 64 KiB objects, a
+// counting sink, and one 4,096-record instrumented kernel batch over
+// them. The collector has supplied the launch's table (LiveTable), as on
+// a hit-flag launch. interleaved selects the access shape: runs of 64
+// consecutive words per object (the locality structure of sweep kernels),
+// or three operands read word by word in turn, so every same-object run
+// is one access long. tagged records carry their object's tag the way the
+// device writes it; untagged ones, as on a launch with overlapping rows,
+// go through MemoryMap.Lookup.
+func accessHarness(interleaved, tagged bool) (*Collector, *countingSink, *gpu.APIRecord, []gpu.MemAccess) {
 	const nObj = 64
 	const batchLen = 4096
-
 	c := NewCollector()
 	for i := 0; i < nObj; i++ {
 		c.OnAPI(&gpu.APIRecord{
@@ -67,35 +71,65 @@ func BenchmarkCollectorAccessBatch(b *testing.B) {
 	}
 	sink := &countingSink{}
 	c.SetSink(sink)
-
+	c.LiveTable()
 	rec := &gpu.APIRecord{Index: nObj, Kind: gpu.APIKernel, Name: "k", Instrumented: true}
 	batch := make([]gpu.MemAccess, batchLen)
 	for i := range batch {
-		// Runs of 64 consecutive word accesses per object, then the next
-		// object — the locality structure of real kernel batches.
-		obj := (i / 64) % nObj
-		word := i % 64
+		obj, word := (i/64)%nObj, i%64
+		if interleaved {
+			obj, word = i%3, i/3
+		}
 		batch[i] = gpu.MemAccess{
 			Addr:  gpu.DevicePtr(0x1000_0000 + obj*0x10000 + word*4),
 			Size:  4,
 			Space: gpu.SpaceGlobal,
 		}
+		if tagged {
+			batch[i].Tag = ObjectTag(ObjectID(obj))
+		}
 	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.OnAccessBatch(rec, batch)
-	}
-	b.StopTimer()
-	if sink.n == 0 {
-		b.Fatal("sink saw no accesses")
-	}
-	b.ReportMetric(batchLen, "accesses/op")
+	return c, sink, rec, batch
 }
 
+// BenchmarkCollectorAccessBatch measures the full attribution path of an
+// instrumented kernel's access stream: OnAccessBatch → a tag check per
+// record (tagged) or a MemoryMap lookup into the collector's copy of the
+// batch (untagged) → one sink call, with a sink that counts attributed
+// accesses.
+func BenchmarkCollectorAccessBatch(b *testing.B) {
+	for _, shape := range []struct {
+		name        string
+		interleaved bool
+	}{{"runs", false}, {"interleaved", true}} {
+		for _, tagged := range []bool{true, false} {
+			name := shape.name + "/untagged"
+			if tagged {
+				name = shape.name + "/tagged"
+			}
+			b.Run(name, func(b *testing.B) {
+				c, sink, rec, batch := accessHarness(shape.interleaved, tagged)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.OnAccessBatch(rec, batch)
+				}
+				b.StopTimer()
+				if sink.n != b.N*len(batch) {
+					b.Fatalf("sink saw %d attributed accesses, want %d", sink.n, b.N*len(batch))
+				}
+				b.ReportMetric(float64(len(batch)), "accesses/op")
+			})
+		}
+	}
+}
+
+// countingSink counts the attributed records it receives.
 type countingSink struct{ n int }
 
-func (s *countingSink) ObjectAccessRun(o *Object, rec *gpu.APIRecord, run []gpu.MemAccess) {
-	s.n += len(run)
+func (s *countingSink) ObjectAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess, objs []*Object) {
+	for i := range batch {
+		if batch[i].Tag != 0 {
+			s.n++
+		}
+	}
 }

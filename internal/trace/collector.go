@@ -7,19 +7,25 @@ import (
 	"drgpum/internal/obs"
 )
 
-// AccessSink receives object-attributed memory accesses of instrumented
-// kernels. The intra-object analyzer implements this to maintain its access
-// bitmaps and frequency maps (paper §5.2). Kernel access streams have
-// strong spatial locality, so the collector groups runs of consecutive
-// accesses that attribute to the same object and delivers each run in one
-// call. The run slice aliases the collector's batch buffer and is only
-// valid for the duration of the call.
+// AccessSink receives the memory accesses of instrumented kernels, each
+// attributed to its data object. The intra-object analyzer implements this
+// to maintain its access bitmaps and frequency maps (paper §5.2). The
+// collector hands over each access batch in one call, with every record
+// resolved: a record whose Tag is t != 0 touched object objs[t-1] (t is
+// ObjectTag of the object's ID), and a record whose Tag is 0 touched no
+// live object. The batch is either the device's buffer or the collector's
+// own copy of it and is only valid for the duration of the call.
 type AccessSink interface {
-	// ObjectAccessRun reports a maximal run of consecutive memory
-	// instructions that all touched object o while GPU API rec (always a
-	// kernel launch) was executing.
-	ObjectAccessRun(o *Object, rec *gpu.APIRecord, run []gpu.MemAccess)
+	// ObjectAccessBatch reports one batch of memory instructions executed,
+	// in order, while GPU API rec (always an instrumented kernel launch)
+	// ran. objs is the trace's object table, indexed by ObjectID.
+	ObjectAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess, objs []*Object)
 }
+
+// ObjectTag is the access-record tag of object id: its ID plus one, so
+// that the zero tag keeps meaning "not resolved". LiveTable hands these
+// tags to the device, which writes them into gpu.MemAccess.Tag.
+func ObjectTag(id ObjectID) uint32 { return uint32(id) + 1 }
 
 // Collector is the online data collector of paper §4: it subscribes to the
 // Sanitizer-analog hooks, intercepts every GPU API, maintains the live
@@ -47,6 +53,18 @@ type Collector struct {
 	pendingWrites map[ObjectID]bool
 
 	scratch []ObjectID
+
+	// supplied is set when the device builds a launch's hit table from
+	// LiveTable and cleared at that kernel's OnAPI: only then do the tags
+	// the launch's records carry name this collector's objects.
+	supplied bool
+	// liveBuf and tagBuf back LiveTable's result; the device copies it.
+	liveBuf []gpu.Range
+	tagBuf  []uint32
+	// resolved is the collector's copy of a batch whose records it had to
+	// tag itself, allocated on first use; the batch other hooks receive is
+	// never written.
+	resolved []gpu.MemAccess
 
 	// obsRec and the cached nodes are the self-observability taps. The
 	// nodes stay nil when no enabled recorder is installed (obs.Root
@@ -131,10 +149,22 @@ func (c *Collector) MarkPoolSegment(ptr gpu.DevicePtr) bool {
 }
 
 // LiveRanges returns the address ranges of the memory map's live objects in
-// address order — the table the device hit-flag scheme snapshots at each
-// kernel launch.
+// address order — the rows of the table the device hit-flag scheme
+// snapshots at each kernel launch.
 func (c *Collector) LiveRanges() []gpu.Range {
 	return c.mmap.LiveRanges()
+}
+
+// LiveTable is the device's live-ranges provider
+// (gpu.Device.SetLiveRangesProvider): the memory map's live ranges in
+// address order, each with its object's ObjectTag. Both slices are reused
+// by the next call. A call marks the launch in progress as one whose
+// table this collector supplied, so OnAccessBatch trusts the tags its
+// records carry until the kernel's OnAPI.
+func (c *Collector) LiveTable() ([]gpu.Range, []uint32) {
+	c.liveBuf, c.tagBuf = c.mmap.appendLiveTable(c.liveBuf[:0], c.tagBuf[:0])
+	c.supplied = true
+	return c.liveBuf, c.tagBuf
 }
 
 // LiveObject returns the live object containing addr, if any.
@@ -189,6 +219,7 @@ func (c *Collector) OnAPI(rec *gpu.APIRecord) {
 		c.attributeRanges(info, rec)
 
 	case gpu.APIKernel:
+		c.supplied = false
 		if c.hostTrace {
 			// Host-trace mode: consume the touches reconstructed while the
 			// kernel's access stream arrived.
@@ -267,57 +298,76 @@ func (c *Collector) attributeRanges(info *APIInfo, rec *gpu.APIRecord) {
 
 // OnAccessBatch implements gpu.Hook: it receives the per-instruction access
 // stream of instrumented kernels, attributes each access to its object and
-// forwards it to the intra-object sink. Attribution exploits the stream's
-// spatial locality twice: the memory map's last-hit cache short-circuits
-// the per-access binary search, and runs of consecutive accesses landing in
-// the same object are forwarded as one AccessSink call. In host-trace
-// mode it additionally reconstructs the kernel's object touch set (the
-// expensive path the paper's Figure 5 optimization avoids).
+// hands the batch to the intra-object sink in one call. On a launch whose
+// table the collector supplied (LiveTable), the device has already
+// resolved each access to its object once, and the record carries the
+// answer (gpu.MemAccess.Tag); only records without a tag are looked up in
+// the memory map. In host-trace mode no record carries a tag: every
+// access is looked up, and the lookups also reconstruct the kernel's
+// object touch set (the expensive path the paper's Figure 5 optimization
+// avoids).
 func (c *Collector) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {
 	sp := c.obsBatchNode.Start()
-	forward := c.sink != nil && rec.Instrumented
-	var runObj *Object
-	runStart := 0
-	for i := range batch {
-		a := &batch[i]
-		var o *Object
-		if a.Space == gpu.SpaceGlobal {
-			if id, ok := c.mmap.Lookup(a.Addr); ok {
-				o = c.trace.Objects[id]
-				if c.hostTrace {
-					if a.Kind == gpu.AccessRead {
-						c.pendingReads[id] = true
-					} else {
-						c.pendingWrites[id] = true
-					}
+	if c.sink != nil && rec.Instrumented {
+		c.sink.ObjectAccessBatch(rec, c.resolveBatch(batch), c.trace.Objects)
+	} else if c.hostTrace {
+		for i := range batch {
+			if a := &batch[i]; a.Space == gpu.SpaceGlobal {
+				if id, ok := c.mmap.Lookup(a.Addr); ok {
+					c.touchPending(id, a.Kind)
 				}
 			}
 		}
-		if !forward {
-			continue
-		}
-		// Unattributed accesses (o == nil) end the current run; runs must
-		// be pure so the slice handed to the sink contains only accesses of
-		// one object.
-		if o != runObj {
-			c.flushRun(rec, runObj, batch[runStart:i])
-			runObj, runStart = o, i
-		}
-	}
-	if forward {
-		c.flushRun(rec, runObj, batch[runStart:])
 	}
 	c.obsRec.Add(obs.CtrAccessBatches, 1)
 	c.obsRec.Add(obs.CtrAccesses, uint64(len(batch)))
 	sp.End()
 }
 
-// flushRun forwards one same-object run to the sink.
-func (c *Collector) flushRun(rec *gpu.APIRecord, o *Object, run []gpu.MemAccess) {
-	if o == nil || len(run) == 0 {
-		return
+// resolveBatch returns batch with every record tagged with the live object
+// it touched (ObjectTag), or 0 for none. A tag the device wrote on a
+// launch whose table the collector supplied stands; every other global
+// record is resolved with MemoryMap.Lookup, and shared-memory records
+// touch no object. Records whose tag changes are written into the
+// collector's copy of the batch, made on the first change. In host-trace
+// mode each resolved record also marks its object's pending touch.
+func (c *Collector) resolveBatch(batch []gpu.MemAccess) []gpu.MemAccess {
+	out := batch
+	copied := false
+	for i := range batch {
+		a := &batch[i]
+		var tag uint32
+		if a.Space == gpu.SpaceGlobal {
+			if a.Tag != 0 && c.supplied {
+				continue
+			}
+			if id, ok := c.mmap.Lookup(a.Addr); ok {
+				tag = ObjectTag(id)
+				if c.hostTrace {
+					c.touchPending(id, a.Kind)
+				}
+			}
+		}
+		if tag == a.Tag {
+			continue
+		}
+		if !copied {
+			c.resolved = append(c.resolved[:0], batch...)
+			out, copied = c.resolved, true
+		}
+		out[i].Tag = tag
 	}
-	c.sink.ObjectAccessRun(o, rec, run)
+	return out
+}
+
+// touchPending records a host-trace access to object id in the kernel's
+// pending touch set.
+func (c *Collector) touchPending(id ObjectID, kind gpu.AccessKind) {
+	if kind == gpu.AccessRead {
+		c.pendingReads[id] = true
+	} else {
+		c.pendingWrites[id] = true
+	}
 }
 
 // appendUnique appends id if it is not already present (touch lists per API

@@ -10,7 +10,7 @@ import (
 func buildDevice(level gpu.PatchLevel) (*gpu.Device, *Collector) {
 	dev := gpu.NewDevice(gpu.SpecTest())
 	c := NewCollector()
-	dev.SetLiveRangesProvider(c.LiveRanges)
+	dev.SetLiveRangesProvider(c.LiveTable)
 	dev.AddHook(c)
 	dev.SetPatchLevel(level)
 	return dev, c
@@ -113,7 +113,7 @@ func TestCollectorHostTraceModeMatchesHitFlags(t *testing.T) {
 		dev := gpu.NewDevice(gpu.SpecTest())
 		c := NewCollector()
 		c.SetHostTraceMode(mode == gpu.ObjectIDHostTrace)
-		dev.SetLiveRangesProvider(c.LiveRanges)
+		dev.SetLiveRangesProvider(c.LiveTable)
 		dev.AddHook(c)
 		dev.SetObjectIDMode(mode)
 		dev.SetPatchLevel(gpu.PatchAPI)

@@ -146,6 +146,16 @@ func (m *MemoryMap) LiveRanges() []gpu.Range {
 	return out
 }
 
+// appendLiveTable appends the address ranges of all live objects, in
+// address order, to ranges and each one's ObjectTag to tags, in one pass.
+func (m *MemoryMap) appendLiveTable(ranges []gpu.Range, tags []uint32) ([]gpu.Range, []uint32) {
+	for _, e := range m.entries {
+		ranges = append(ranges, e.rng)
+		tags = append(tags, ObjectTag(e.id))
+	}
+	return ranges, tags
+}
+
 // Live returns the IDs of all live objects in address order.
 func (m *MemoryMap) Live() []ObjectID {
 	out := make([]ObjectID, len(m.entries))

@@ -8,31 +8,11 @@ import (
 	"drgpum/internal/obs"
 )
 
-// ingestionHarness builds a collector with live objects, a counting sink,
-// and a locality-structured kernel access batch — the same shape as
-// BenchmarkCollectorAccessBatch — for the obs overhead measurements.
+// ingestionHarness is accessHarness's sweep shape with device-tagged
+// records — the ingestion path a hit-flag launch takes — for the obs
+// overhead measurements.
 func ingestionHarness() (*Collector, *gpu.APIRecord, []gpu.MemAccess) {
-	const nObj = 64
-	const batchLen = 4096
-	c := NewCollector()
-	for i := 0; i < nObj; i++ {
-		c.OnAPI(&gpu.APIRecord{
-			Index: uint64(i), Kind: gpu.APIMalloc,
-			Ptr: gpu.DevicePtr(0x1000_0000 + i*0x10000), Size: 0x10000,
-		})
-	}
-	c.SetSink(&countingSink{})
-	rec := &gpu.APIRecord{Index: nObj, Kind: gpu.APIKernel, Name: "k", Instrumented: true}
-	batch := make([]gpu.MemAccess, batchLen)
-	for i := range batch {
-		obj := (i / 64) % nObj
-		word := i % 64
-		batch[i] = gpu.MemAccess{
-			Addr:  gpu.DevicePtr(0x1000_0000 + obj*0x10000 + word*4),
-			Size:  4,
-			Space: gpu.SpaceGlobal,
-		}
-	}
+	c, _, rec, batch := accessHarness(false, true)
 	return c, rec, batch
 }
 
