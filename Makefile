@@ -78,6 +78,7 @@ serve-smoke:
 fuzz-smoke:
 	@echo "== fuzz-smoke =="
 	$(GO) test -run '^$$' -fuzz '^FuzzBitmapRange$$' -fuzztime 10s ./internal/intraobj
+	$(GO) test -run '^$$' -fuzz '^FuzzSummaryMatchesReference$$' -fuzztime 10s ./internal/intraobj
 	$(GO) test -run '^$$' -fuzz '^FuzzTrackerMatchesReference$$' -fuzztime 10s ./internal/costmodel
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionID$$' -fuzztime 10s ./internal/serve

@@ -184,9 +184,8 @@ func buildHTMLData(rep *core.Report) *htmlData {
 
 // histogram geometry.
 const (
-	histBuckets = 32
-	histW       = 320.0
-	histH       = 60.0
+	histW = 320.0
+	histH = 60.0
 )
 
 // nuafHistogram renders the object's access-frequency histogram bars (the
@@ -195,7 +194,7 @@ func nuafHistogram(rep *core.Report, f *pattern.Finding) []histBar {
 	if rep.Recorder == nil {
 		return nil
 	}
-	counts := rep.Recorder.FrequencyHistogram(int(f.Object), histBuckets)
+	counts := rep.Recorder.FrequencyHistogram(int(f.Object))
 	if len(counts) == 0 {
 		return nil
 	}

@@ -1,6 +1,8 @@
 package intraobj
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"drgpum/internal/gpu"
@@ -146,4 +148,89 @@ func BenchmarkBitmapSetRange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bm.SetRange(3, 1<<16-5)
 	}
+}
+
+// summarySink keeps BenchmarkSummarize's result live.
+var summarySink summary
+
+// BenchmarkSummarize measures summarize, the per-object reduction Seal
+// stores at each free of a streamed run and Detect computes for every live
+// object at Finish, over u32 objects of 4K and 64K elements. The
+// unstructured objects are read at stride 1, 4 or 8 by four kernels, with
+// the first half read once more, or at random elements four times per
+// element on average; the structured object is read by eight kernels, each
+// its own slice, slice k k+1 times.
+func BenchmarkSummarize(b *testing.B) {
+	shapes := []struct {
+		name    string
+		kernels func(o *trace.Object, elems int) [][]gpu.MemAccess
+	}{
+		{"stride1", stridedKernels(1)},
+		{"stride4", stridedKernels(4)},
+		{"stride8", stridedKernels(8)},
+		{"random", func(o *trace.Object, elems int) [][]gpu.MemAccess {
+			rng := rand.New(rand.NewSource(1))
+			acc := make([]gpu.MemAccess, 4*elems)
+			for i := range acc {
+				acc[i] = elemRead(o, rng.Intn(elems))
+			}
+			return [][]gpu.MemAccess{acc}
+		}},
+		{"structured", func(o *trace.Object, elems int) [][]gpu.MemAccess {
+			const slices = 8
+			var ks [][]gpu.MemAccess
+			for k := 0; k < slices; k++ {
+				var acc []gpu.MemAccess
+				for rep := 0; rep <= k; rep++ {
+					for i := k * elems / slices; i < (k+1)*elems/slices; i++ {
+						acc = append(acc, elemRead(o, i))
+					}
+				}
+				ks = append(ks, acc)
+			}
+			return ks
+		}},
+	}
+	for _, elems := range []int{4 << 10, 64 << 10} {
+		for _, shape := range shapes {
+			b.Run(fmt.Sprintf("%dK/%s", elems>>10, shape.name), func(b *testing.B) {
+				objs := benchObjects(1, elems)
+				r := NewRecorder(0)
+				for k, acc := range shape.kernels(objs[0], elems) {
+					deliver(r, objs, &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Index: uint64(k), Instrumented: true}, acc)
+				}
+				r.Flush()
+				st := r.state(0)
+				if st.structured() != (shape.name == "structured") {
+					b.Fatalf("structured() = %v", st.structured())
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					summarySink = st.summarize()
+				}
+			})
+		}
+	}
+}
+
+// stridedKernels returns four kernels that each read every stride-th
+// element of an object; the first also reads the first half of those
+// elements once more.
+func stridedKernels(stride int) func(o *trace.Object, elems int) [][]gpu.MemAccess {
+	return func(o *trace.Object, elems int) [][]gpu.MemAccess {
+		var acc []gpu.MemAccess
+		for i := 0; i < elems; i += stride {
+			acc = append(acc, elemRead(o, i))
+		}
+		for i := 0; i < elems/2; i += stride {
+			acc = append(acc, elemRead(o, i))
+		}
+		return [][]gpu.MemAccess{acc, acc[:elems/stride], acc[:elems/stride], acc[:elems/stride]}
+	}
+}
+
+// elemRead is a read of element i of the u32 object o.
+func elemRead(o *trace.Object, i int) gpu.MemAccess {
+	return gpu.MemAccess{Addr: o.Ptr + gpu.DevicePtr(i*4), Size: 4, Space: gpu.SpaceGlobal, Tag: trace.ObjectTag(o.ID)}
 }

@@ -207,58 +207,36 @@ func (b *Bitmap) Contiguous() bool {
 
 // LargestZeroRun returns the length of the longest run of unmarked
 // elements — the "largest unaccessed memory chunk" of the paper's
-// fragmentation metric (Equation 1). All-zero and all-one words are
-// consumed whole; only mixed words walk their bits.
+// fragmentation metric (Equation 1). All-zero words are consumed whole; a
+// mixed word is walked one run at a time by trailing-zero counts. Bits past
+// the last element count as marked, so no run extends beyond it.
 func (b *Bitmap) LargestZeroRun() int {
 	best, cur := 0, 0
 	for w, word := range b.words {
-		// Number of valid bits in this word (the last word may be partial).
-		valid := b.n - w<<6
-		if valid > 64 {
-			valid = 64
+		if valid := b.n - w<<6; valid < 64 {
+			word |= ^uint64(0) << uint(valid)
 		}
-		switch {
-		case word == 0:
-			cur += valid
-		case valid == 64 && word == ^uint64(0):
-			cur = 0
-		default:
-			for i := 0; i < valid; i++ {
-				if word&(1<<uint(i)) != 0 {
-					cur = 0
-					continue
-				}
-				cur++
-				if cur > best {
-					best = cur
-				}
+		if word == 0 {
+			cur += 64
+			continue
+		}
+		// The low zeros extend the run carried in from earlier words.
+		tz := bits.TrailingZeros64(word)
+		best = max(best, cur+tz)
+		// Interior runs lie between the word's runs of ones: drop a run of
+		// ones, then measure the zeros above it, until no set bit is left.
+		x := word >> uint(tz)
+		for {
+			x >>= uint(bits.TrailingZeros64(^x))
+			if x == 0 {
+				break
 			}
+			z := bits.TrailingZeros64(x)
+			best = max(best, z)
+			x >>= uint(z)
 		}
-		if cur > best {
-			best = cur
-		}
+		// The high zeros start the run carried into the next word.
+		cur = bits.LeadingZeros64(word)
 	}
-	return best
-}
-
-// Fragmentation computes the paper's Equation 1 over the bitmap:
-//
-//	Frag = 1 - largestUnaccessedChunk / totalUnaccessed
-//
-// expressed in percent. A fully-accessed object has zero fragmentation by
-// convention (there is nothing to shrink).
-func (b *Bitmap) Fragmentation() float64 {
-	unaccessed := b.n - b.Count()
-	if unaccessed == 0 {
-		return 0
-	}
-	return (1 - float64(b.LargestZeroRun())/float64(unaccessed)) * 100
-}
-
-// AccessedPct returns the percentage of marked elements.
-func (b *Bitmap) AccessedPct() float64 {
-	if b.n == 0 {
-		return 100
-	}
-	return float64(b.Count()) / float64(b.n) * 100
+	return max(best, cur)
 }

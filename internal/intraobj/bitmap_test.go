@@ -103,13 +103,19 @@ func TestBitmapLargestZeroRun(t *testing.T) {
 	}
 }
 
+// bitmapSummary summarizes an object whose cumulative bitmap is b.
+func bitmapSummary(b *Bitmap) summary {
+	st := &objState{elems: b.Len(), total: b, totalFreq: make([]uint32, b.Len())}
+	return st.summarize()
+}
+
 // TestFragmentationEquation1 checks the paper's Equation 1 on crafted
 // layouts.
 func TestFragmentationEquation1(t *testing.T) {
 	// One contiguous unaccessed tail: Frag = 1 - tail/tail = 0.
 	b := NewBitmap(100)
 	b.SetRange(0, 49)
-	if got := b.Fragmentation(); got != 0 {
+	if got := bitmapSummary(b).fragPct; got != 0 {
 		t.Errorf("contiguous tail fragmentation = %g, want 0", got)
 	}
 
@@ -119,14 +125,14 @@ func TestFragmentationEquation1(t *testing.T) {
 	for i := 0; i < 100; i += 2 {
 		b.Set(i)
 	}
-	if got := b.Fragmentation(); got != 98 {
+	if got := bitmapSummary(b).fragPct; got != 98 {
 		t.Errorf("checkerboard fragmentation = %g, want 98", got)
 	}
 
 	// Fully accessed: nothing to shrink, fragmentation 0 by convention.
 	b = NewBitmap(10)
 	b.SetRange(0, 9)
-	if got := b.Fragmentation(); got != 0 {
+	if got := bitmapSummary(b).fragPct; got != 0 {
 		t.Errorf("full coverage fragmentation = %g", got)
 	}
 }
@@ -134,10 +140,10 @@ func TestFragmentationEquation1(t *testing.T) {
 func TestAccessedPct(t *testing.T) {
 	b := NewBitmap(200)
 	b.SetRange(0, 49)
-	if got := b.AccessedPct(); got != 25 {
+	if got := bitmapSummary(b).accessedPct; got != 25 {
 		t.Errorf("AccessedPct = %g", got)
 	}
-	if got := NewBitmap(0).AccessedPct(); got != 100 {
+	if got := bitmapSummary(NewBitmap(0)).accessedPct; got != 100 {
 		t.Errorf("empty-object AccessedPct = %g, want 100 (nothing wasted)", got)
 	}
 }

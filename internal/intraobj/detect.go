@@ -31,7 +31,9 @@ func DefaultConfig() Config {
 // objects touched by at least one instrumented kernel are considered —
 // never-observed objects are the object-level unused-allocation detector's
 // business, and reporting 0% access for a kernel that simply was not
-// instrumented would be a false positive.
+// instrumented would be a false positive. Each object's values come from
+// its summary: the one Seal stored, or one summarize computes from the live
+// maps.
 func (r *Recorder) Detect(cfg Config) []pattern.Finding {
 	if cfg.OverallocThreshold <= 0 {
 		cfg.OverallocThreshold = 80
@@ -45,14 +47,14 @@ func (r *Recorder) Detect(cfg Config) []pattern.Finding {
 	r.Flush()
 
 	var out []pattern.Finding
+	var buf summary
 	for _, id := range r.order {
 		st := r.states[id]
+		s := st.summary(&buf)
 
 		// Overallocation (Definition 3.8) with the Equation 1 fragmentation
 		// metric attached for Table 2 guidance.
-		accessed := st.accessedPct()
-		if accessed < cfg.OverallocThreshold && st.fragPct() < cfg.OverallocFragThreshold {
-			unaccessedElems := st.elems - st.accessedCount()
+		if s.accessedPct < cfg.OverallocThreshold && s.fragPct < cfg.OverallocFragThreshold {
 			es := uint64(st.obj.ElemSize)
 			if es == 0 {
 				es = 4
@@ -60,9 +62,9 @@ func (r *Recorder) Detect(cfg Config) []pattern.Finding {
 			out = append(out, pattern.Finding{
 				Pattern:          pattern.Overallocation,
 				Object:           st.obj.ID,
-				AccessedPct:      accessed,
-				FragmentationPct: st.fragPct(),
-				WastedBytes:      uint64(unaccessedElems) * es,
+				AccessedPct:      s.accessedPct,
+				FragmentationPct: s.fragPct,
+				WastedBytes:      uint64(st.elems-s.count) * es,
 			})
 		}
 
@@ -70,94 +72,27 @@ func (r *Recorder) Detect(cfg Config) []pattern.Finding {
 		// a contiguous slice, and no two slices overlapped.
 		if st.structured() {
 			out = append(out, pattern.Finding{
-				Pattern:  pattern.StructuredAccess,
-				Object:   st.obj.ID,
-				AtKernel: st.hotKernel,
-				// Savings bound: all but the largest slice could be avoided
-				// by reusing one slice-sized allocation. We approximate the
-				// slice size with the mean slice, i.e. covered/apiTouches.
-				WastedBytes: structuredSavings(st),
+				Pattern:     pattern.StructuredAccess,
+				Object:      st.obj.ID,
+				AtKernel:    st.hotKernel,
+				WastedBytes: s.savings,
 			})
 		}
 
-		// Non-uniform Access Frequency (Definition 3.9). The variation is
-		// computed over the run's cumulative access frequencies: per
-		// structured-access slice when the object has the SA property (the
-		// paper's GramSchmidt analysis sorts slices by access frequency),
-		// per accessed element otherwise; a Poisson shot-noise floor is
-		// subtracted so Monte Carlo sampling does not masquerade as skew.
-		if cv := nuafVariation(st); cv > cfg.NUAFThreshold {
+		// Non-uniform Access Frequency (Definition 3.9): a Poisson
+		// shot-noise floor is subtracted from the variation so Monte Carlo
+		// sampling does not masquerade as skew.
+		if s.nuaf > cfg.NUAFThreshold {
 			out = append(out, pattern.Finding{
 				Pattern:      pattern.NonUniformAccessFrequency,
 				Object:       st.obj.ID,
 				AtKernel:     st.hotKernel,
 				APIs:         []uint64{st.lastAPI},
-				VariationPct: cv,
+				VariationPct: s.nuaf,
 			})
 		}
 	}
 	return out
-}
-
-// accessedPct, fragPct and accessedCount read the cumulative-bitmap metrics,
-// from the frozen summary for sealed objects.
-func (st *objState) accessedPct() float64 {
-	if st.sealed != nil {
-		return st.sealed.accessedPct
-	}
-	return st.total.AccessedPct()
-}
-
-func (st *objState) fragPct() float64 {
-	if st.sealed != nil {
-		return st.sealed.fragPct
-	}
-	return st.total.Fragmentation()
-}
-
-func (st *objState) accessedCount() int {
-	if st.sealed != nil {
-		return st.sealed.count
-	}
-	return st.total.Count()
-}
-
-// nuafVariation computes the non-uniform access frequency metric for one
-// object: the noise-corrected coefficient of variation of per-slice totals
-// (structured objects) or per-accessed-element frequencies.
-func nuafVariation(st *objState) float64 {
-	if st.sealed != nil {
-		return st.sealed.nuaf
-	}
-	var samples []float64
-	if st.structured() {
-		samples = make([]float64, 0, len(st.sliceTotals))
-		for _, t := range st.sliceTotals {
-			samples = append(samples, float64(t))
-		}
-	} else {
-		n := 0
-		for _, f := range st.totalFreq {
-			if f > 0 {
-				n++
-			}
-		}
-		samples = make([]float64, 0, n)
-		for _, f := range st.totalFreq {
-			if f > 0 {
-				samples = append(samples, float64(f))
-			}
-		}
-	}
-	if len(samples) < 2 {
-		return 0
-	}
-	var sum float64
-	for _, s := range samples {
-		sum += s
-	}
-	mean := sum / float64(len(samples))
-	return excessCV(coefficientOfVariation(samples), mean)
 }
 
 // structured reports whether the object satisfies Definition 3.10: at
@@ -167,71 +102,25 @@ func (st *objState) structured() bool {
 	return st.apiTouches >= 2 && !st.saViolated && !st.saNonContig
 }
 
-// structuredSavings estimates the bytes saved by allocating one slice
-// instead of the whole object: total object size minus one mean-sized slice.
-func structuredSavings(st *objState) uint64 {
-	if st.sealed != nil {
-		return st.sealed.savings
-	}
-	covered := st.total.Count()
-	if covered == 0 || st.apiTouches == 0 {
-		return 0
-	}
-	es := uint64(st.obj.ElemSize)
-	if es == 0 {
-		es = 4
-	}
-	meanSlice := uint64(covered/st.apiTouches) * es
-	if meanSlice >= st.obj.Size {
-		return 0
-	}
-	return st.obj.Size - meanSlice
-}
-
-// FrequencyHistogram buckets the cumulative per-element access frequencies
-// of an object into the given number of equal-width element ranges and
-// returns the total access count per bucket. The paper's GUI plots this to
-// help users pick hot slices for shared-memory placement (§5.2, §7.3).
-func (r *Recorder) FrequencyHistogram(id int, buckets int) []uint64 {
+// FrequencyHistogram returns the cumulative per-element access frequencies
+// of an object summed over 32 equal-width element ranges, the same for a
+// live and a sealed object. The paper's GUI plots this to help users pick
+// hot slices for shared-memory placement (§5.2, §7.3).
+func (r *Recorder) FrequencyHistogram(id int) []uint64 {
 	st := r.state(id)
-	if st == nil || buckets <= 0 {
+	if st == nil {
 		return nil
 	}
-	out := make([]uint64, buckets)
-	if st.elems == 0 {
-		return out
-	}
-	if st.sealed != nil {
-		// Sealed objects keep a fixed-resolution histogram; the GUI's bucket
-		// count matches it exactly, other counts re-bucket deterministically.
-		if buckets == sealBuckets {
-			copy(out, st.sealed.hist)
-			return out
-		}
-		for i, f := range st.sealed.hist {
-			b := i * buckets / sealBuckets
-			if b >= buckets {
-				b = buckets - 1
-			}
-			out[b] += f
-		}
-		return out
-	}
-	for i, f := range st.totalFreq {
-		b := i * buckets / st.elems
-		if b >= buckets {
-			b = buckets - 1
-		}
-		out[b] += uint64(f)
-	}
-	return out
+	var buf summary
+	return append([]uint64(nil), st.summary(&buf).hist[:]...)
 }
 
 // AccessedPctOf returns the accessed-element percentage of an object the
 // recorder observed, and whether it was observed at all.
 func (r *Recorder) AccessedPctOf(id int) (float64, bool) {
 	if st := r.state(id); st != nil {
-		return st.accessedPct(), true
+		var buf summary
+		return st.summary(&buf).accessedPct, true
 	}
 	return 0, false
 }

@@ -95,10 +95,10 @@ type objState struct {
 	saNonContig bool
 	apiTouches  int
 
-	// sealed replaces the maps above once the streaming window manager
-	// freezes a freed object (Seal): derived values are precomputed and the
-	// O(elements) buffers released.
-	sealed *sealedState
+	// sealed is the object's summary once the streaming window manager
+	// freezes a freed object (Seal), which releases the O(elements) maps
+	// above.
+	sealed *summary
 }
 
 type spilledAccess struct {
@@ -464,29 +464,6 @@ func (r *Recorder) Flush() {
 		r.obsRec.Add(obs.CtrBitmapWords, r.wordTotal-r.wordPub)
 		r.spillPub, r.wordPub = r.spillTotal, r.wordTotal
 	}
-}
-
-// coefficientOfVariation returns stddev/mean of the samples, in percent
-// (the paper's variance metric, §3.2 footnote). A zero mean yields zero.
-func coefficientOfVariation(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, f := range samples {
-		sum += f
-	}
-	mean := sum / float64(len(samples))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, f := range samples {
-		d := f - mean
-		ss += d * d
-	}
-	std := math.Sqrt(ss / float64(len(samples)))
-	return std / mean * 100
 }
 
 // excessCV removes the sampling-noise floor from a coefficient of

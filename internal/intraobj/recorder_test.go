@@ -292,9 +292,18 @@ func TestFrequencyHistogram(t *testing.T) {
 		}
 	})
 	r.Flush()
-	h := r.FrequencyHistogram(0, 2)
-	if len(h) != 2 || h[0] != 256 || h[1] != 128 {
-		t.Errorf("histogram = %v, want [256 128]", h)
+	h := r.FrequencyHistogram(0)
+	if len(h) != histBuckets {
+		t.Fatalf("histogram = %v, want %d buckets", h, histBuckets)
+	}
+	for b, c := range h {
+		want := uint64(8) // 8 elements per bucket, read once each
+		if b < histBuckets/2 {
+			want = 16 // the hot half, read twice
+		}
+		if c != want {
+			t.Errorf("bucket %d = %d, want %d", b, c, want)
+		}
 	}
 	if got, ok := r.AccessedPctOf(0); !ok || got != 100 {
 		t.Errorf("AccessedPctOf = %g, %v", got, ok)

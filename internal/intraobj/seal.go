@@ -1,29 +1,121 @@
 package intraobj
 
-// sealBuckets is the histogram resolution preserved at seal time. It matches
-// the GUI's bucket count, so the common render path reads sealed histograms
-// losslessly; other bucket counts are re-bucketed from the stored 32.
-const sealBuckets = 32
+import "math"
 
-// sealedState is the compact summary of a freed object's intra-object
-// analysis: every value Detect, FrequencyHistogram and AccessedPctOf would
-// derive from the bitmaps and frequency maps, precomputed through the exact
-// same code paths so the final report is byte-identical, in O(1) + one
-// fixed-size histogram per object instead of O(elements).
-type sealedState struct {
+// histBuckets is the resolution of an object's frequency histogram: the
+// GUI's bucket count.
+const histBuckets = 32
+
+// summary is what the analysis reads of one object's intra-object maps: the
+// accessed-element share and Equation 1's fragmentation of the cumulative
+// bitmap, the NUAF variation and the structured-access savings, and the
+// frequency histogram. summarize is its only source, so a sealed object's
+// stored summary and a live object's computed one agree by construction.
+type summary struct {
 	accessedPct float64
 	fragPct     float64
-	count       int
+	count       int // accessed elements
 	nuaf        float64
 	savings     uint64
-	hist        []uint64 // sealBuckets equal-width element ranges
+	hist        [histBuckets]uint64 // equal-width element ranges
+}
+
+// summarize reduces the object's live maps to its summary without
+// allocating: one count of the bitmap (plus its longest clear run when some
+// element is unaccessed), one pass over the frequency map for the histogram
+// and the nonzero frequencies' count and sum, and one more over the samples
+// for their squared deviations. Sums run in index order, so every float
+// equals the one the sample-slice formulas of §3.2 compute.
+func (st *objState) summarize() summary {
+	var s summary
+	s.count = st.total.Count()
+	s.accessedPct = 100
+	if st.elems > 0 {
+		s.accessedPct = float64(s.count) / float64(st.elems) * 100
+	}
+	if unaccessed := st.elems - s.count; unaccessed > 0 {
+		s.fragPct = (1 - float64(st.total.LargestZeroRun())/float64(unaccessed)) * 100
+	}
+
+	// Savings bound of a structured object: all but one slice could be
+	// avoided by reusing one slice-sized allocation, with the slice size
+	// approximated by the mean slice, i.e. covered/apiTouches.
+	if s.count > 0 && st.apiTouches > 0 {
+		es := uint64(st.obj.ElemSize)
+		if es == 0 {
+			es = 4
+		}
+		if meanSlice := uint64(s.count/st.apiTouches) * es; meanSlice < st.obj.Size {
+			s.savings = st.obj.Size - meanSlice
+		}
+	}
+
+	// Bucket b holds the elements i with i*histBuckets/elems == b: from
+	// ceil(b*elems/histBuckets) up to the next bucket's bound.
+	var samples int
+	var sum float64
+	lo := 0
+	for b := range s.hist {
+		hi := ((b+1)*st.elems + histBuckets - 1) / histBuckets
+		var t uint64
+		for _, f := range st.totalFreq[lo:hi] {
+			if f != 0 {
+				t += uint64(f)
+				samples++
+				sum += float64(f)
+			}
+		}
+		s.hist[b] = t
+		lo = hi
+	}
+
+	// Variation (Definition 3.9) over the run's cumulative frequencies: per
+	// structured-access slice when the object has the SA property (the
+	// paper's GramSchmidt analysis sorts slices by access frequency), per
+	// accessed element otherwise.
+	var mean, ss float64
+	if st.structured() { // at least two slices
+		samples, sum = len(st.sliceTotals), 0
+		for _, t := range st.sliceTotals {
+			sum += float64(t)
+		}
+		mean = sum / float64(samples)
+		for _, t := range st.sliceTotals {
+			d := float64(t) - mean
+			ss += d * d
+		}
+	} else if samples >= 2 {
+		mean = sum / float64(samples)
+		for _, f := range st.totalFreq {
+			if f != 0 {
+				d := float64(f) - mean
+				ss += d * d
+			}
+		}
+	}
+	if samples >= 2 {
+		s.nuaf = excessCV(math.Sqrt(ss/float64(samples))/mean*100, mean)
+	}
+	return s
+}
+
+// summary returns the object's summary: the one stored at Seal, or one
+// computed from the live maps into buf.
+func (st *objState) summary(buf *summary) *summary {
+	if st.sealed != nil {
+		return st.sealed
+	}
+	*buf = st.summarize()
+	return buf
 }
 
 // Seal finalizes the in-flight API and freezes the intra-object state of
-// object id, releasing its bitmaps, frequency maps and per-API buffers. The
-// streaming window manager calls this when the object is freed: no further
-// access can attribute to it (the collector delisted its range), so every
-// input to the sealed values is final.
+// object id into its summary, releasing its bitmaps, frequency maps and
+// per-API buffers. The streaming window manager calls this when the object
+// is freed: no further access can attribute to it (the collector delisted
+// its range), so every input to the summary is final, and Detect,
+// FrequencyHistogram and AccessedPctOf read the stored summary instead of
+// the maps.
 //
 // Finalizing the in-flight API early is equivalent to the offline schedule:
 // a free's OnAPI arrives after the accessed kernel's OnAPI, so the folded
@@ -37,24 +129,8 @@ func (r *Recorder) Seal(id int) {
 		return
 	}
 	r.finalizeAPI()
-	sealed := &sealedState{
-		accessedPct: st.total.AccessedPct(),
-		fragPct:     st.total.Fragmentation(),
-		count:       st.total.Count(),
-		nuaf:        nuafVariation(st),
-		savings:     structuredSavings(st),
-		hist:        make([]uint64, sealBuckets),
-	}
-	if st.elems > 0 {
-		for i, f := range st.totalFreq {
-			b := i * sealBuckets / st.elems
-			if b >= sealBuckets {
-				b = sealBuckets - 1
-			}
-			sealed.hist[b] += uint64(f)
-		}
-	}
-	st.sealed = sealed
+	s := st.summarize()
+	st.sealed = &s
 	st.total = nil
 	st.totalFreq = nil
 	st.curDiff = nil
