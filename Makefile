@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionID$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionRoute$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzMarginalSavings$$' -fuzztime 10s ./internal/advisor
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalMatchesReference$$' -fuzztime 10s ./internal/depgraph
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveMatchesReference$$' -fuzztime 10s ./internal/gpu

@@ -105,14 +105,14 @@ func BenchmarkTable5Comparison(b *testing.B) {
 }
 
 // BenchmarkFigure6Overhead regenerates Figure 6: profiling overhead per
-// workload for both analyses on both device specs (median of the bench's
-// own repetitions via overhead.Measure).
+// workload for both analyses on both device specs (one repeat per
+// iteration via overhead.Measure).
 func BenchmarkFigure6Overhead(b *testing.B) {
 	var rows []overhead.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = overhead.MeasureWith(
-			freshEngine(),
+		rows, err = overhead.Measure(
+			nil,
 			[]gpu.DeviceSpec{gpu.SpecRTX3090(), gpu.SpecA100()},
 			overhead.Options{Repeats: 1, SamplingPeriod: 100},
 		)
@@ -127,8 +127,8 @@ func BenchmarkFigure6Overhead(b *testing.B) {
 }
 
 // BenchmarkEngineTable1 is the run engine's parallel-vs-sequential pair:
-// the same Table 1 sweep through the worker pool and through the
-// sequential reference scheduling, each iteration on a fresh engine so
+// the same Table 1 sweep through the worker pool and through one worker
+// (the in-order reference scheduling), each iteration on a fresh engine so
 // the cache does not collapse iterations. On a multi-core host the
 // parallel side approaches the longest single profile; at GOMAXPROCS=1
 // the two are at parity (the fan-out only interleaves).
@@ -141,7 +141,7 @@ func BenchmarkEngineTable1(b *testing.B) {
 		}
 	}
 	b.Run("parallel", func(b *testing.B) { run(b, engine.Config{}) })
-	b.Run("sequential", func(b *testing.B) { run(b, engine.Config{Sequential: true}) })
+	b.Run("sequential", func(b *testing.B) { run(b, engine.Config{Workers: 1}) })
 }
 
 // BenchmarkEngineTable1ThenTable5 measures the cross-driver memoization
@@ -172,10 +172,11 @@ func BenchmarkEngineTable1ThenTable5(b *testing.B) {
 // the SimpleMultiCopy profile (the artifact's liveness.json).
 func BenchmarkFigure7GUIExport(b *testing.B) {
 	w, _ := workloads.ByName("simplemulticopy")
-	rep, err := tables.Profile(w, gpu.SpecRTX3090(), workloads.VariantNaive, gpu.PatchFull, 1)
+	res, err := freshEngine().Run([]engine.RunSpec{{Workload: w, Spec: gpu.SpecRTX3090(), Level: gpu.PatchFull, Sampling: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
+	rep := res[0].Report
 	var bytesOut int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

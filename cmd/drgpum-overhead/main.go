@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	drgpum-overhead [-repeats N] [-sampling N] [-workloads a,b,...] [-j N] [-seq] [-stats]
+//	drgpum-overhead [-repeats N] [-sampling N] [-workloads a,b,...] [-svg out.svg] [-stats]
 //
-// Overhead runs measure wall clock, so the engine schedules every one of
-// them on its exclusive timed lane regardless of -j — the flags exist so
-// scripts can drive all drgpum-* tools uniformly.
+// Overhead runs measure wall clock, so every run executes, one at a time:
+// each repeat is one round over every (device, workload, stage) tuple on
+// a fresh one-worker engine.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"os"
 	"strings"
 
-	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
 	"drgpum/internal/obs"
 	"drgpum/internal/overhead"
@@ -31,8 +30,6 @@ func main() {
 	sampling := flag.Int("sampling", 100, "intra-object kernel sampling period")
 	only := flag.String("workloads", "", "comma-separated workload names to measure (default: all)")
 	svgPath := flag.String("svg", "", "also write the figure as an SVG bar chart (the artifact's overhead.pdf analog)")
-	jobs := flag.Int("j", 0, "max concurrent runs (0 = GOMAXPROCS); timed measurements always execute exclusively")
-	seq := flag.Bool("seq", false, "run sequentially in submission order (reference scheduling)")
 	stats := flag.Bool("stats", false, "print the per-phase self-time breakdown (attach, ingestion, each analyzer) aggregated over every measured run")
 	flag.Parse()
 
@@ -49,8 +46,8 @@ func main() {
 	if *stats {
 		master = obs.New()
 	}
-	rows, err := overhead.MeasureWith(
-		engine.New(engine.Config{Workers: *jobs, Sequential: *seq, Obs: master}),
+	rows, err := overhead.Measure(
+		master,
 		[]gpu.DeviceSpec{gpu.SpecRTX3090(), gpu.SpecA100()},
 		overhead.Options{Repeats: *repeats, SamplingPeriod: *sampling, Workloads: names},
 	)

@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	drgpum-tables [-table 1|4|all] [-j N] [-seq] [-stats]
+//	drgpum-tables [-table 1|4|all] [-o dir] [-j N] [-stats]
+//
+// -j 1 runs every profile in submission order on one goroutine; the
+// output is byte-identical at any -j. drgpum-compare regenerates Table 5.
 package main
 
 import (
@@ -25,16 +28,18 @@ func main() {
 	log.SetPrefix("drgpum-tables: ")
 	which := flag.String("table", "all", "which table to regenerate: 1, 4 or all")
 	outDir := flag.String("o", "", "also write artifact-style result files (patterns.txt, memory_peak.txt) into this directory")
-	jobs := flag.Int("j", 0, "max concurrent runs (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run every profile sequentially in submission order (reference scheduling; output is byte-identical either way)")
+	jobs := flag.Int("j", 0, "max concurrent runs (0 = GOMAXPROCS, 1 = in submission order; output is byte-identical either way)")
 	stats := flag.Bool("stats", false, "print the engine's aggregated self-observability (phases with wall time, counters) after the tables")
 	flag.Parse()
+	if *which != "1" && *which != "4" && *which != "all" {
+		log.Fatalf("unknown -table %q (want 1, 4 or all; run drgpum-compare for Table 5)", *which)
+	}
 
 	var master *obs.Recorder
 	if *stats {
 		master = obs.New()
 	}
-	eng := engine.New(engine.Config{Workers: *jobs, Sequential: *seq, Obs: master})
+	eng := engine.New(engine.Config{Workers: *jobs, Obs: master})
 
 	results := func(name string, render func(w *os.File)) {
 		if *outDir == "" {

@@ -23,18 +23,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"drgpum/internal/core"
 	"drgpum/internal/engine"
-	"drgpum/internal/gpu"
 	_ "drgpum/internal/gui" // registers the GUI and HTML exporters
 	"drgpum/internal/obs"
-	"drgpum/internal/tables"
 	"drgpum/internal/workloads"
 )
 
@@ -47,7 +45,7 @@ func main() {
 		variant   = flag.String("variant", "naive", "naive or optimized")
 		device    = flag.String("device", "rtx3090", "rtx3090 or a100")
 		mode      = flag.String("mode", "intra", "analysis granularity: object or intra")
-		sampling  = flag.Int("sampling", 1, "intra-object kernel sampling period")
+		sampling  = flag.Int("sampling", 1, "intra-object kernel sampling period (0 or 1 = every launch)")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
 		guiPath   = flag.String("gui", "", "write a Perfetto trace (liveness.json) to this path")
 		htmlPath  = flag.String("html", "", "write a self-contained HTML report to this path")
@@ -59,7 +57,7 @@ func main() {
 		diff      = flag.Bool("diff", false, "profile both variants and summarize the optimization outcome")
 		timeline  = flag.Bool("timeline", false, "draw the object-lifetime timeline (the paper's Figure 2 view) after the report")
 		stream    = flag.Bool("stream", false, "stream the analysis: finalize per kernel-epoch with bounded collector memory (same report, plus a temporal heat map)")
-		window    = flag.Int("window", 0, "streaming kernel-epoch length (0 = default)")
+		window    = flag.Int("window", 0, "streaming kernel-epoch length (0 = default; requires -stream or -heatmap)")
 		heatmap   = flag.Bool("heatmap", false, "draw the temporal heat map after the report (implies -stream)")
 		pipelined = flag.Bool("pipelined", false, "pipeline the run: simulate on one goroutine while another ingests the access stream (identical report, lower wall clock on a free core)")
 		loadPath  = flag.String("load", "", "re-analyze this saved profile instead of running a workload")
@@ -101,78 +99,41 @@ func main() {
 		}
 	})
 
-	w, ok := workloads.Lookup(*workload)
-	if !ok {
-		log.Fatalf("unknown workload %q; use -list to see the available ones", *workload)
-	}
-
-	var spec gpu.DeviceSpec
-	switch strings.ToLower(*device) {
-	case "rtx3090":
-		spec = gpu.SpecRTX3090()
-	case "a100":
-		spec = gpu.SpecA100()
-	default:
-		log.Fatalf("unknown device %q (want rtx3090 or a100)", *device)
-	}
-
-	var v workloads.Variant
-	switch strings.ToLower(*variant) {
-	case "naive":
-		v = workloads.VariantNaive
-	case "optimized":
-		v = workloads.VariantOptimized
-	default:
-		log.Fatalf("unknown variant %q (want naive or optimized)", *variant)
-	}
-
-	level := gpu.PatchFull
-	switch strings.ToLower(*mode) {
-	case "object":
-		level = gpu.PatchAPI
-	case "intra":
-		level = gpu.PatchFull
-	default:
-		log.Fatalf("unknown mode %q (want object or intra)", *mode)
-	}
-
 	if *heatmap {
 		*stream = true
 	}
+	spec, err := engine.Request{
+		Workload:  *workload,
+		Variant:   *variant,
+		Device:    *device,
+		Mode:      *mode,
+		Sampling:  *sampling,
+		Streaming: *stream,
+		Window:    *window,
+		Pipelined: *pipelined,
+		Memcheck:  *memcheck,
+	}.Spec()
+	if errors.Is(err, engine.ErrUnknownWorkload) {
+		log.Fatalf("%v; use -list to see the available ones", err)
+	} else if err != nil {
+		log.Fatal(err)
+	}
+
+	// -stats runs on a private engine with a master recorder; the report
+	// carries its own run-local snapshot.
+	eng := engine.Default()
+	if *stats {
+		eng = engine.New(engine.Config{Obs: obs.New()})
+	}
 	if *diff {
-		runDiff(w, spec, level, *sampling)
+		runDiff(eng, spec)
 		return
 	}
-
-	var rep *core.Report
-	var err error
-	if *stats {
-		// Self-observability runs on a private engine with a master
-		// recorder; the report carries its own run-local snapshot.
-		res, rerr := engine.New(engine.Config{Obs: obs.New()}).Run([]engine.RunSpec{{
-			Workload:  w,
-			Spec:      spec,
-			Variant:   v,
-			Level:     level,
-			Sampling:  *sampling,
-			Streaming: *stream,
-			Window:    *window,
-			Pipelined: *pipelined,
-			Opts:      engine.RunOpts{Memcheck: *memcheck},
-		}})
-		if rerr != nil {
-			log.Fatal(rerr)
-		}
-		rep = res[0].Report
-	} else {
-		rep, err = tables.ProfileWith(w, spec, v, level, *sampling,
-			tables.ProfileOpts{Memcheck: *memcheck, Stream: *stream, Window: *window, Pipelined: *pipelined})
-		if err != nil {
-			log.Fatal(err)
-		}
+	res, err := eng.Run([]engine.RunSpec{spec})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	output(rep, outputs{json: *jsonOut, verbose: *verbose, timeline: *timeline, heatmap: *heatmap,
+	output(res[0].Report, outputs{json: *jsonOut, verbose: *verbose, timeline: *timeline, heatmap: *heatmap,
 		stats: *stats, gui: *guiPath, html: *htmlPath, save: *savePath})
 }
 
@@ -251,23 +212,21 @@ func loadProfile(path string, cfg core.Config) *core.Report {
 	return rep
 }
 
-// runDiff profiles the naive and optimized variants and prints the paper's
-// Table 4 view for one workload: peak reduction, speedup, and which
-// findings the fixes eliminated.
-func runDiff(w *workloads.Workload, spec gpu.DeviceSpec, level gpu.PatchLevel, sampling int) {
-	naive, err := tables.Profile(w, spec, workloads.VariantNaive, level, sampling)
+// runDiff profiles the naive and optimized variants of spec in one batch
+// and prints the paper's Table 4 view for one workload: peak reduction,
+// speedup, and which findings the fixes eliminated.
+func runDiff(eng *engine.Engine, spec engine.RunSpec) {
+	opt := spec
+	spec.Variant, opt.Variant = workloads.VariantNaive, workloads.VariantOptimized
+	res, err := eng.Run([]engine.RunSpec{spec, opt})
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := tables.Profile(w, spec, workloads.VariantOptimized, level, sampling)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("%s on %s\n", w.Name, spec.Name)
+	naive := res[0].Report
+	fmt.Printf("%s on %s\n", spec.Workload.Name, spec.Spec.Name)
 	if naive.WhatIf.EstimatedPeak < naive.WhatIf.OriginalPeak {
 		fmt.Printf("  advisor predicted: -%.0f%% peak from applying the suggestions\n",
 			naive.WhatIf.ReductionPct)
 	}
-	core.Compare(naive, opt).Render(os.Stdout)
+	core.Compare(naive, res[1].Report).Render(os.Stdout)
 }

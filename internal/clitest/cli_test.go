@@ -152,6 +152,49 @@ func TestDiffMode(t *testing.T) {
 	}
 }
 
+// TestDrgpumRunFlagErrors pins that the CLI parses its run flags with the
+// parser drgpum-serve uses: what the server answers 400 to, the CLI
+// rejects with exit status 1 and the same message, rather than ignoring
+// the window or clamping the sampling period. An unknown workload keeps
+// the CLI's -list hint, and -heatmap implies -stream, so -window is valid
+// with it.
+func TestDrgpumRunFlagErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "simplemulticopy", "-window", "4"}, "drgpum: window requires streaming"},
+		{[]string{"-workload", "simplemulticopy", "-sampling", "-3"}, "drgpum: sampling must be >= 0, got -3"},
+		{[]string{"-workload", "nonesuch"}, `drgpum: unknown workload "nonesuch"; use -list to see the available ones`},
+	} {
+		out, err := command(t, "drgpum", c.args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("drgpum %v: err %v, want exit status 1:\n%s", c.args, err, out)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("drgpum %v: output missing %q:\n%s", c.args, c.want, out)
+		}
+	}
+	heat := run(t, "drgpum", "-workload", "simplemulticopy", "-window", "4", "-heatmap")
+	if !strings.Contains(heat, "temporal heat map — 1 epoch(s) of 4 kernel(s) each") {
+		t.Errorf("-window 4 -heatmap did not stream 4-kernel epochs:\n%s", heat)
+	}
+}
+
+// TestTablesUnknownTable: Table 5 is drgpum-compare's, so drgpum-tables
+// -table 5 must fail with exit status 1 and say where Table 5 is.
+func TestTablesUnknownTable(t *testing.T) {
+	out, err := command(t, "drgpum-tables", "-table", "5").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Errorf("err %v, want exit status 1:\n%s", err, out)
+	}
+	for _, want := range []string{`unknown -table "5"`, "1, 4 or all", "drgpum-compare"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestTablesResultsDir(t *testing.T) {
 	dir := t.TempDir()
 	run(t, "drgpum-tables", "-table", "1", "-o", dir)

@@ -6,16 +6,14 @@ import (
 
 	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
-	"drgpum/internal/overhead"
 	"drgpum/internal/tables"
 	"drgpum/internal/workloads"
 )
 
-// renderEvaluation regenerates Tables 1, 4 and 5 and a slice of the
-// overhead figure through the given engine and concatenates every
-// rendered byte. The overhead rows' wall-clock fields are zeroed before
-// rendering: timing varies run to run by nature, while row order and
-// attribution — the things parallel scheduling could corrupt — must not.
+// renderEvaluation regenerates Tables 1, 4 and 5 through the given engine
+// and concatenates every rendered byte. The overhead figure is not here:
+// it runs on its own one-worker engines, never in parallel, and
+// TestOverheadTable pins its row order.
 func renderEvaluation(t *testing.T, e *engine.Engine) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -38,32 +36,21 @@ func renderEvaluation(t *testing.T, e *engine.Engine) string {
 	}
 	tables.RenderTable5(&buf, rows5)
 
-	orows, err := overhead.MeasureWith(e, []gpu.DeviceSpec{gpu.SpecRTX3090()},
-		overhead.Options{Repeats: 1, Workloads: []string{"simplemulticopy", "polybench/bicg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range orows {
-		orows[i].NativeNs, orows[i].ObjectNs, orows[i].IntraNs = 0, 0, 0
-		orows[i].ObjectOverhead, orows[i].IntraOverhead = 0, 0
-	}
-	overhead.Render(&buf, orows)
-
 	return buf.String()
 }
 
 // TestEvaluationDeterminism is the whole-evaluation analog of
 // core.TestAnalysisDeterminism: every rendered table must be
-// byte-identical between the sequential reference scheduling, the
-// parallel worker pool, and two consecutive parallel runs on fresh
-// engines (fresh, so the second run re-executes instead of trivially
-// replaying the first run's cache).
+// byte-identical between the one-worker reference scheduling (submission
+// order on the calling goroutine), the parallel worker pool, and two
+// consecutive parallel runs on fresh engines (fresh, so the second run
+// re-executes instead of trivially replaying the first run's cache).
 func TestEvaluationDeterminism(t *testing.T) {
-	seq := renderEvaluation(t, engine.New(engine.Config{Sequential: true}))
+	seq := renderEvaluation(t, engine.New(engine.Config{Workers: 1}))
 	par := renderEvaluation(t, engine.New(engine.Config{Workers: 8}))
 	again := renderEvaluation(t, engine.New(engine.Config{Workers: 8}))
 	if par != seq {
-		t.Errorf("parallel and sequential renders differ (%d vs %d bytes)", len(par), len(seq))
+		t.Errorf("parallel and one-worker renders differ (%d vs %d bytes)", len(par), len(seq))
 	}
 	if par != again {
 		t.Errorf("two parallel renders differ (%d vs %d bytes)", len(par), len(again))

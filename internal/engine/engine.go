@@ -1,37 +1,39 @@
 // Package engine is the deterministic parallel run engine behind every
 // evaluation driver: the paper's tables, the overhead figure, the
-// memcheck regression gate and the CLI tools all describe their
-// profiling runs as RunSpec values and hand the whole batch to an
-// Engine instead of executing them one at a time.
+// memcheck regression gate, the CLI tools and the profiling server all
+// describe their profiling runs as RunSpec values and hand the whole
+// batch to an Engine instead of executing them one at a time. Request
+// is a run in the vocabulary the drgpum CLI and drgpum-serve share; its
+// Spec method is the one parser of that vocabulary.
 //
-// Three properties make the engine safe to put under byte-identical
+// Two properties make the engine safe to put under byte-identical
 // renderers:
 //
 //   - Index-addressed results. Run returns a slice parallel to its
 //     input: results[i] always belongs to specs[i], no matter which
 //     worker finished it or in what order. Drivers consume results in
 //     submission order, so every rendered table is byte-identical to
-//     the sequential path (Config.Sequential pins that equivalence in
-//     tests).
-//   - Memoized profiles. Untimed runs are cached under their full
-//     configuration (mode, workload, device spec, variant, patch
-//     level, sampling period, memcheck flag) with singleflight
-//     semantics: concurrent requests for the same tuple share one
-//     execution. Table 1, Table 5, the memcheck gate and the CLIs
-//     profile overlapping tuples; each is now computed once per
+//     the in-order loop of a one-worker engine (Config{Workers: 1}
+//     pins that equivalence in tests).
+//   - Memoized profiles. Runs are cached under their full configuration
+//     (mode, workload, device spec, variant, patch level, sampling
+//     period, streaming window, pipelining, memcheck flag) with
+//     singleflight semantics: concurrent requests for the same tuple
+//     share one execution. Table 1, Table 5, the memcheck gate and the
+//     CLIs profile overlapping tuples; each is now computed once per
 //     process. Stats reports the hit/miss/dedup counts.
-//   - An exclusive lane for timed runs. Wall-clock measurements (the
-//     overhead medians) are meaningless with concurrent neighbors
-//     stealing cycles, so RunOpts.Timed routes a run through the write
-//     side of an RWMutex: it waits for every in-flight untimed run to
-//     drain, runs alone, and only then lets the pool resume. Timed
-//     runs also bypass the cache — a cached wall-clock number is a
-//     contradiction, and median-of-N repeats must not be deduplicated
-//     into one execution.
+//
+// A wall-clock measurement needs runs that really execute and execute
+// alone. It gets them from a fresh engine with one worker: the empty
+// cache executes every run, and the single worker runs them one at a
+// time (internal/overhead).
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -76,17 +78,6 @@ func (m Mode) String() string {
 	}
 }
 
-// RunOpts carries the scheduling- and instrumentation-extras of a run.
-type RunOpts struct {
-	// Memcheck attaches the memory-safety checker to a ModeProfile run
-	// (core.Config.Memcheck).
-	Memcheck bool
-	// Timed marks a wall-clock-sensitive run: it executes on the
-	// exclusive lane with no concurrent neighbors and is never cached or
-	// deduplicated (each repeat of a median must really run).
-	Timed bool
-}
-
 // RunSpec describes one run. Workload.Name identifies the program in the
 // cache key, so two specs naming the same registered workload share a
 // cache entry.
@@ -113,7 +104,82 @@ type RunSpec struct {
 	// pipelined runs still get their own cache entries so a cached
 	// synchronous profile never masks the pipelined execution path.
 	Pipelined bool
-	Opts      RunOpts
+	// Memcheck attaches the memory-safety checker to a ModeProfile run
+	// (core.Config.Memcheck).
+	Memcheck bool
+}
+
+// Request is one profiling run in the vocabulary the drgpum CLI's flags
+// and the drgpum-serve submit body share. Empty strings and zero numbers
+// select the CLI defaults: naive, rtx3090, intra, sampling 1.
+type Request struct {
+	Workload  string `json:"workload"`
+	Variant   string `json:"variant,omitempty"`
+	Device    string `json:"device,omitempty"`
+	Mode      string `json:"mode,omitempty"`
+	Sampling  int    `json:"sampling,omitempty"`
+	Streaming bool   `json:"streaming,omitempty"`
+	Window    int    `json:"window,omitempty"`
+	Pipelined bool   `json:"pipelined,omitempty"`
+	Memcheck  bool   `json:"memcheck,omitempty"`
+}
+
+// ErrUnknownWorkload is wrapped by the error Spec returns for a workload
+// name that is not registered.
+var ErrUnknownWorkload = errors.New("unknown workload")
+
+// Spec validates the request and maps it to the ModeProfile run it
+// names. Names match case-insensitively; a negative sampling period or
+// window, or a window without streaming, is an error rather than a
+// silently ignored setting.
+func (r Request) Spec() (RunSpec, error) {
+	w, ok := workloads.Lookup(r.Workload)
+	if !ok {
+		return RunSpec{}, fmt.Errorf("%w %q", ErrUnknownWorkload, r.Workload)
+	}
+	s := RunSpec{
+		Mode:      ModeProfile,
+		Workload:  w,
+		Sampling:  max(r.Sampling, 1),
+		Streaming: r.Streaming,
+		Window:    r.Window,
+		Pipelined: r.Pipelined,
+		Memcheck:  r.Memcheck,
+	}
+	switch strings.ToLower(r.Device) {
+	case "", "rtx3090":
+		s.Spec = gpu.SpecRTX3090()
+	case "a100":
+		s.Spec = gpu.SpecA100()
+	default:
+		return RunSpec{}, fmt.Errorf("unknown device %q (want rtx3090 or a100)", r.Device)
+	}
+	switch strings.ToLower(r.Variant) {
+	case "", "naive":
+		s.Variant = workloads.VariantNaive
+	case "optimized":
+		s.Variant = workloads.VariantOptimized
+	default:
+		return RunSpec{}, fmt.Errorf("unknown variant %q (want naive or optimized)", r.Variant)
+	}
+	switch strings.ToLower(r.Mode) {
+	case "", "intra":
+		s.Level = gpu.PatchFull
+	case "object":
+		s.Level = gpu.PatchAPI
+	default:
+		return RunSpec{}, fmt.Errorf("unknown mode %q (want object or intra)", r.Mode)
+	}
+	if r.Sampling < 0 {
+		return RunSpec{}, fmt.Errorf("sampling must be >= 0, got %d", r.Sampling)
+	}
+	if r.Window < 0 {
+		return RunSpec{}, fmt.Errorf("window must be >= 0, got %d", r.Window)
+	}
+	if r.Window > 0 && !r.Streaming {
+		return RunSpec{}, errors.New("window requires streaming")
+	}
+	return s, nil
 }
 
 // BaselineResult is what a ModeBaselines run detects.
@@ -138,7 +204,7 @@ type Result struct {
 	Err  error
 }
 
-// Stats counts what the engine did. Runs = Hits + Dedups + Misses + Timed.
+// Stats counts what the engine did. Runs = Hits + Dedups + Misses.
 type Stats struct {
 	// Runs is the number of specs submitted.
 	Runs int
@@ -149,19 +215,15 @@ type Stats struct {
 	Dedups int
 	// Misses are fresh executions that populated the cache.
 	Misses int
-	// Timed are exclusive-lane runs (never cached).
-	Timed int
 }
 
 // Config tunes an Engine.
 type Config struct {
 	// Workers bounds concurrent runs; <=0 means GOMAXPROCS. The
-	// effective pool is min(Workers, len(specs)).
+	// effective pool is min(Workers, len(specs)). A pool of one runs the
+	// batch in submission order on the calling goroutine: the reference
+	// scheduling the determinism tests compare the pool against.
 	Workers int
-	// Sequential executes every batch in submission order on the calling
-	// goroutine — the reference scheduling the determinism tests compare
-	// the pool against. The cache stays active either way.
-	Sequential bool
 	// Obs, when enabled, is the engine's master self-observability
 	// recorder. Every executed (non-cached) run gets a fresh per-run
 	// recorder — so each Report's snapshot is run-local and byte-identical
@@ -169,7 +231,7 @@ type Config struct {
 	// after the body finishes, under an engine/<mode> span. The Stats
 	// counters are mirrored onto Obs as they accumulate. Note the
 	// hits/dedups split depends on scheduling; only their sum is
-	// deterministic across sequential and parallel runs.
+	// deterministic across one-worker and parallel runs.
 	Obs *obs.Recorder
 }
 
@@ -181,49 +243,19 @@ type Engine struct {
 	mu    sync.Mutex // guards cache and stats
 	cache map[key]*entry
 	stats Stats
-
-	// lane is the scheduling lane: untimed runs hold the read side for
-	// their whole execution, timed runs take the write side. Go's
-	// writer-preferring RWMutex blocks new readers while a writer waits,
-	// so a timed run drains the pool, runs alone, and cannot be starved
-	// by a stream of untimed work.
-	lane sync.RWMutex
-
-	// hookStart/hookEnd fire around every executed (non-cached) run
-	// body, inside the lane hold. Test-only; see export_test.go.
-	hookStart, hookEnd func(RunSpec)
 }
 
-// key is the memoization key: the full run configuration.
+// key is the memoization key: the full run configuration, with the
+// workload named rather than pointed to (spec.Workload is nil).
 type key struct {
-	mode      Mode
-	workload  string
-	spec      gpu.DeviceSpec
-	variant   workloads.Variant
-	level     gpu.PatchLevel
-	sampling  int
-	streaming bool
-	window    int
-	// pipelined is in the key even though reports are byte-identical, so
-	// the pipelined execution path really executes when asked for (a cache
-	// hit from a synchronous run would silently skip it).
-	pipelined bool
-	memcheck  bool
+	spec     RunSpec
+	workload string
 }
 
 func keyOf(s RunSpec) key {
-	return key{
-		mode:      s.Mode,
-		workload:  s.Workload.Name,
-		spec:      s.Spec,
-		variant:   s.Variant,
-		level:     s.Level,
-		sampling:  s.Sampling,
-		streaming: s.Streaming,
-		window:    s.Window,
-		pipelined: s.Pipelined,
-		memcheck:  s.Opts.Memcheck,
-	}
+	name := s.Workload.Name
+	s.Workload = nil
+	return key{spec: s, workload: name}
 }
 
 // entry is a singleflight cache slot: done closes when res is valid.
@@ -238,8 +270,8 @@ func New(cfg Config) *Engine {
 }
 
 // defaultEngine is the process-wide engine the package-level driver
-// entry points (tables.Table1, overhead.Measure, ...) share, so profiles
-// are reused across drivers within one process.
+// entry points (tables.Table1, tables.Table5, ...) and the drgpum CLI
+// share, so profiles are reused across drivers within one process.
 var defaultEngine = New(Config{})
 
 // Default returns the shared process-wide engine.
@@ -270,10 +302,10 @@ func (e *Engine) Run(specs []RunSpec) ([]Result, error) {
 }
 
 // RunWithStats is Run plus a batch-local Stats delta: how this batch was
-// satisfied (fresh executions, completed-entry hits, in-flight dedups,
-// exclusive-lane timed runs), independent of whatever other batches the
-// shared engine served concurrently. Stats.Runs always equals len(specs)
-// and the runs=hits+dedups+misses+timed invariant holds per batch; note
+// satisfied (fresh executions, completed-entry hits, in-flight dedups),
+// independent of whatever other batches the shared engine served
+// concurrently. Stats.Runs always equals len(specs) and the
+// runs=hits+dedups+misses invariant holds per batch; note
 // the hits/dedups split depends on scheduling, only their sum is
 // deterministic. Multi-tenant callers (the drgpum-serve session store)
 // use the delta to attribute shared-cache reuse to one submission.
@@ -285,7 +317,7 @@ func (e *Engine) Run(specs []RunSpec) ([]Result, error) {
 func (e *Engine) RunWithStats(specs []RunSpec) ([]Result, Stats, error) {
 	results := make([]Result, len(specs))
 	kinds := make([]runKind, len(specs))
-	if nw := e.workers(len(specs)); e.cfg.Sequential || nw == 1 {
+	if nw := e.workers(len(specs)); nw == 1 {
 		for i := range specs {
 			results[i], kinds[i] = e.runOne(specs[i])
 		}
@@ -312,8 +344,6 @@ func (e *Engine) RunWithStats(specs []RunSpec) ([]Result, Stats, error) {
 			batch.Dedups++
 		case runMiss:
 			batch.Misses++
-		case runTimed:
-			batch.Timed++
 		}
 	}
 	for i := range results {
@@ -339,21 +369,14 @@ const (
 	runMiss runKind = iota
 	runHit
 	runDedup
-	runTimed
 )
 
-// runOne resolves one spec: timed runs go straight to the exclusive
-// lane; untimed runs consult the cache with singleflight semantics.
+// runOne resolves one spec through the cache with singleflight
+// semantics.
 func (e *Engine) runOne(s RunSpec) (Result, runKind) {
 	e.mu.Lock()
 	e.stats.Runs++
 	e.cfg.Obs.Add(obs.CtrEngineRuns, 1)
-	if s.Opts.Timed {
-		e.stats.Timed++
-		e.cfg.Obs.Add(obs.CtrEngineTimed, 1)
-		e.mu.Unlock()
-		return e.execTimed(s), runTimed
-	}
 	k := keyOf(s)
 	if ent, ok := e.cache[k]; ok {
 		kind := runHit
@@ -375,24 +398,9 @@ func (e *Engine) runOne(s RunSpec) (Result, runKind) {
 	e.stats.Misses++
 	e.cfg.Obs.Add(obs.CtrEngineMisses, 1)
 	e.mu.Unlock()
-	ent.res = e.execShared(s)
+	ent.res = e.execObserved(s)
 	close(ent.done)
 	return ent.res, runMiss
-}
-
-// execShared runs an untimed body under the read side of the lane:
-// untimed runs overlap each other but never a timed run.
-func (e *Engine) execShared(s RunSpec) Result {
-	e.lane.RLock()
-	defer e.lane.RUnlock()
-	if e.hookStart != nil {
-		e.hookStart(s)
-	}
-	res := e.execObserved(s)
-	if e.hookEnd != nil {
-		e.hookEnd(s)
-	}
-	return res
 }
 
 // execObserved runs one body, threading self-observability: with the
@@ -411,21 +419,5 @@ func (e *Engine) execObserved(s RunSpec) Result {
 	res := runDetached(s, runRec)
 	sp.End()
 	master.Merge(runRec.Snapshot())
-	return res
-}
-
-// execTimed runs a wall-clock-sensitive body alone: the write side of
-// the lane waits out every in-flight untimed run and holds back new ones
-// (and other timed runs) until the measurement finishes.
-func (e *Engine) execTimed(s RunSpec) Result {
-	e.lane.Lock()
-	defer e.lane.Unlock()
-	if e.hookStart != nil {
-		e.hookStart(s)
-	}
-	res := e.execObserved(s)
-	if e.hookEnd != nil {
-		e.hookEnd(s)
-	}
 	return res
 }

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"drgpum/internal/engine"
@@ -33,7 +32,7 @@ func cheapWorkloads(t *testing.T) []*workloads.Workload {
 // program.
 func TestResultsAreIndexAddressed(t *testing.T) {
 	ws := cheapWorkloads(t)
-	for _, cfg := range []engine.Config{{Sequential: true}, {Workers: 4}} {
+	for _, cfg := range []engine.Config{{Workers: 1}, {Workers: 4}} {
 		e := engine.New(cfg)
 		var specs []engine.RunSpec
 		for _, w := range ws {
@@ -79,14 +78,14 @@ func TestCacheMemoizesAndCounts(t *testing.T) {
 		Variant:  workloads.VariantNaive,
 		Level:    gpu.PatchAPI,
 	}
-	e := engine.New(engine.Config{Sequential: true})
+	e := engine.New(engine.Config{Workers: 1})
 	first, err := e.Run([]engine.RunSpec{spec, spec, spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.Runs != 3 || s.Misses != 1 || s.Hits != 2 || s.Dedups != 0 || s.Timed != 0 {
-		t.Fatalf("sequential stats = %+v, want 3 runs / 1 miss / 2 hits", s)
+	if s.Runs != 3 || s.Misses != 1 || s.Hits != 2 || s.Dedups != 0 {
+		t.Fatalf("one-worker stats = %+v, want 3 runs / 1 miss / 2 hits", s)
 	}
 	if first[0].Report != first[1].Report || first[1].Report != first[2].Report {
 		t.Error("cached requests did not share one report")
@@ -112,31 +111,6 @@ func TestCacheMemoizesAndCounts(t *testing.T) {
 	}
 	if s := p.Stats(); s.Misses != 1 || s.Hits+s.Dedups != 3 {
 		t.Fatalf("parallel stats = %+v, want 1 miss and 3 hits+dedups", s)
-	}
-}
-
-// TestTimedRunsBypassCache: repeats of a wall-clock measurement must all
-// execute — deduplicating a median's samples would fabricate data.
-func TestTimedRunsBypassCache(t *testing.T) {
-	w, _ := workloads.ByName("simplemulticopy")
-	spec := engine.RunSpec{
-		Mode:     engine.ModeNative,
-		Workload: w,
-		Spec:     gpu.SpecRTX3090(),
-		Variant:  workloads.VariantNaive,
-		Opts:     engine.RunOpts{Timed: true},
-	}
-	e := engine.New(engine.Config{Workers: 4})
-	var executed atomic.Int32
-	e.SetTestHooks(func(engine.RunSpec) { executed.Add(1) }, nil)
-	if _, err := e.Run([]engine.RunSpec{spec, spec, spec}); err != nil {
-		t.Fatal(err)
-	}
-	if got := executed.Load(); got != 3 {
-		t.Errorf("executed %d timed runs, want 3 (no dedup)", got)
-	}
-	if s := e.Stats(); s.Timed != 3 || s.Misses != 0 || s.Hits != 0 {
-		t.Errorf("stats = %+v, want 3 timed and nothing cached", s)
 	}
 }
 
@@ -173,70 +147,4 @@ func TestErrorPropagation(t *testing.T) {
 	if s := e.Stats(); s.Misses != 2 || s.Hits != 1 {
 		t.Errorf("stats = %+v, want the failure cached (2 misses, 1 hit)", s)
 	}
-}
-
-// TestTimedRunsAreExclusive is the scheduling regression test for the
-// exclusive lane: with a full worker pool and timed runs interleaved into
-// a stream of untimed work, no run body may ever be in flight at the same
-// time as a timed run. The hooks fire inside the lane hold, so an
-// observed overlap here is a real overlap of run bodies.
-func TestTimedRunsAreExclusive(t *testing.T) {
-	ws := cheapWorkloads(t)
-	e := engine.New(engine.Config{Workers: 8})
-
-	var active, timedActive, maxActive, violations atomic.Int32
-	e.SetTestHooks(func(s engine.RunSpec) {
-		n := active.Add(1)
-		for {
-			m := maxActive.Load()
-			if n <= m || maxActive.CompareAndSwap(m, n) {
-				break
-			}
-		}
-		if s.Opts.Timed {
-			timedActive.Add(1)
-			if n != 1 {
-				violations.Add(1)
-			}
-		} else if timedActive.Load() != 0 {
-			violations.Add(1)
-		}
-	}, func(s engine.RunSpec) {
-		if s.Opts.Timed {
-			timedActive.Add(-1)
-		}
-		active.Add(-1)
-	})
-
-	// Interleave: after every few untimed profile runs, a timed native
-	// run. Untimed specs are all distinct tuples so none dedup away.
-	var specs []engine.RunSpec
-	for round := 0; round < 4; round++ {
-		for i, w := range ws {
-			specs = append(specs, engine.RunSpec{
-				Workload: w,
-				Spec:     gpu.SpecRTX3090(),
-				Variant:  workloads.Variant(round % 2),
-				Level:    gpu.PatchFull,
-				Sampling: round/2*99 + i + 1,
-			})
-		}
-		specs = append(specs, engine.RunSpec{
-			Mode:     engine.ModeNative,
-			Workload: ws[round%len(ws)],
-			Spec:     gpu.SpecA100(),
-			Variant:  workloads.VariantNaive,
-			Opts:     engine.RunOpts{Timed: true},
-		})
-	}
-	if _, err := e.Run(specs); err != nil {
-		t.Fatal(err)
-	}
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d run(s) overlapped a timed run", v)
-	}
-	if s := e.Stats(); s.Timed != 4 {
-		t.Errorf("stats = %+v, want 4 timed runs", s)
-	}
-	t.Logf("max concurrent run bodies observed: %d", maxActive.Load())
 }

@@ -50,7 +50,7 @@ func exec(s RunSpec, rec *obs.Recorder) Result {
 }
 
 // execProfile is the engine's form of a standard DrGPUM profiling run
-// (the paper's configuration, as in tables.Profile): object-level at
+// (the paper's configuration, as every driver runs it): object-level at
 // gpu.PatchAPI, intra-object at gpu.PatchFull with the workload's paper
 // kernel whitelist and the spec'd sampling period.
 func execProfile(s RunSpec, rec *obs.Recorder) Result {
@@ -59,7 +59,7 @@ func execProfile(s RunSpec, rec *obs.Recorder) Result {
 	cfg := core.DefaultConfig()
 	cfg.Level = s.Level
 	cfg.SamplingPeriod = s.Sampling
-	cfg.Memcheck = s.Opts.Memcheck
+	cfg.Memcheck = s.Memcheck
 	cfg.Obs = rec
 	if s.Level == gpu.PatchFull {
 		cfg.KernelWhitelist = s.Workload.IntraKernels

@@ -63,7 +63,7 @@ func TestObsOutputDeterminism(t *testing.T) {
 // engineBatch runs a small spec batch (with deliberate duplicates, so the
 // cache paths engage) on an engine with a master recorder. It returns the
 // per-result stats texts and the master's zero-wall span tree.
-func engineBatch(t *testing.T, sequential bool) (stats [][]byte, spans []byte, master *obs.Recorder) {
+func engineBatch(t *testing.T, workers int) (stats [][]byte, spans []byte, master *obs.Recorder) {
 	t.Helper()
 	names := []string{"simplemulticopy", "rodinia/huffman", "simplemulticopy", "rodinia/huffman"}
 	specs := make([]engine.RunSpec, 0, len(names))
@@ -79,7 +79,7 @@ func engineBatch(t *testing.T, sequential bool) (stats [][]byte, spans []byte, m
 		})
 	}
 	master = obs.New()
-	eng := engine.New(engine.Config{Sequential: sequential, Obs: master})
+	eng := engine.New(engine.Config{Workers: workers, Obs: master})
 	results, err := eng.Run(specs)
 	if err != nil {
 		t.Fatal(err)
@@ -97,13 +97,13 @@ func engineBatch(t *testing.T, sequential bool) (stats [][]byte, spans []byte, m
 
 // TestEngineObsDeterminism pins the engine's obs aggregation across
 // scheduling: per-report stats are run-local (a cached result returns the
-// executing run's snapshot, so results are byte-identical sequential vs
+// executing run's snapshot, so results are byte-identical one-worker vs
 // parallel), the merged master span tree is scheduling-independent, and
-// the mirrored engine counters obey runs = hits + dedups + misses + timed
-// with only the hits/dedups split free to vary.
+// the mirrored engine counters obey runs = hits + dedups + misses with
+// only the hits/dedups split free to vary.
 func TestEngineObsDeterminism(t *testing.T) {
-	seqStats, seqSpans, seqMaster := engineBatch(t, true)
-	parStats, parSpans, parMaster := engineBatch(t, false)
+	seqStats, seqSpans, seqMaster := engineBatch(t, 1)
+	parStats, parSpans, parMaster := engineBatch(t, 0)
 	for i := range seqStats {
 		if !bytes.Equal(seqStats[i], parStats[i]) {
 			t.Errorf("result %d stats differ:\n--- sequential\n%s--- parallel\n%s", i, seqStats[i], parStats[i])
@@ -115,9 +115,9 @@ func TestEngineObsDeterminism(t *testing.T) {
 	for _, m := range []*obs.Recorder{seqMaster, parMaster} {
 		c := counterMap(m.Snapshot())
 		runs := c["engine runs"]
-		sum := c["engine cache hits"] + c["engine dedups"] + c["engine misses"] + c["engine timed runs"]
+		sum := c["engine cache hits"] + c["engine dedups"] + c["engine misses"]
 		if runs == 0 || runs != sum {
-			t.Errorf("engine counters inconsistent: runs=%d hits+dedups+misses+timed=%d", runs, sum)
+			t.Errorf("engine counters inconsistent: runs=%d hits+dedups+misses=%d", runs, sum)
 		}
 		if c["engine misses"] != 2 {
 			t.Errorf("engine misses = %d, want 2 (one per unique tuple)", c["engine misses"])

@@ -65,14 +65,13 @@ const (
 	// CtrPeakCandidates counts local-maxima candidates the peak miner
 	// considered (per analysis pass).
 	CtrPeakCandidates
-	// CtrEngineRuns..CtrEngineTimed mirror engine.Stats. The split between
+	// CtrEngineRuns..CtrEngineMisses mirror engine.Stats. The split between
 	// hits and dedups depends on scheduling timing; their sum is
 	// deterministic.
 	CtrEngineRuns
 	CtrEngineHits
 	CtrEngineDedups
 	CtrEngineMisses
-	CtrEngineTimed
 
 	numCounters = iota
 )
@@ -91,7 +90,6 @@ var counterNames = [numCounters]string{
 	CtrEngineHits:      "engine cache hits",
 	CtrEngineDedups:    "engine dedups",
 	CtrEngineMisses:    "engine misses",
-	CtrEngineTimed:     "engine timed runs",
 }
 
 // Named counters published by the streaming window manager. They are named

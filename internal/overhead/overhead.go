@@ -27,6 +27,7 @@ import (
 
 	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
+	"drgpum/internal/obs"
 	"drgpum/internal/workloads"
 )
 
@@ -101,18 +102,14 @@ var stages = []struct {
 	{"intra-object", gpu.PatchFull},
 }
 
-// Measure produces the Figure 6 rows for the given device specs on the
-// shared run engine; see MeasureWith.
-func Measure(specs []gpu.DeviceSpec, opts Options) ([]Row, error) {
-	return MeasureWith(engine.Default(), specs, opts)
-}
-
-// MeasureWith is Measure on a caller-supplied engine. Every run here is
-// a wall-clock measurement, so every spec is submitted Timed: the engine
-// serializes them on its exclusive lane (no concurrent neighbors skew
-// the medians, even when untimed work from another driver is in flight)
-// and never caches or deduplicates them — each repeat really runs.
-func MeasureWith(e *engine.Engine, specs []gpu.DeviceSpec, opts Options) ([]Row, error) {
+// Measure produces the Figure 6 rows for the given device specs. Every
+// run here is a wall-clock measurement, so each must really execute, and
+// execute alone. Each repeat is therefore one round over every (device,
+// workload, stage) tuple on a fresh one-worker engine: the empty cache
+// makes every run execute, and the single worker runs them in
+// submission order on the calling goroutine. rec, when enabled, is the
+// master self-observability recorder of every round's engine.
+func Measure(rec *obs.Recorder, specs []gpu.DeviceSpec, opts Options) ([]Row, error) {
 	if opts.Repeats <= 0 {
 		opts.Repeats = 3
 	}
@@ -134,52 +131,42 @@ func MeasureWith(e *engine.Engine, specs []gpu.DeviceSpec, opts Options) ([]Row,
 				} else if st.level == gpu.PatchFull {
 					sampling = opts.SamplingPeriod
 				}
-				for r := 0; r < opts.Repeats; r++ {
-					rs = append(rs, engine.RunSpec{
-						Mode:     mode,
-						Workload: w,
-						Spec:     spec,
-						Variant:  workloads.VariantNaive,
-						Level:    st.level,
-						Sampling: sampling,
-						Opts:     engine.RunOpts{Timed: true},
-					})
-				}
+				rs = append(rs, engine.RunSpec{
+					Mode:     mode,
+					Workload: w,
+					Spec:     spec,
+					Variant:  workloads.VariantNaive,
+					Level:    st.level,
+					Sampling: sampling,
+				})
 			}
 		}
 	}
-	results, _ := e.Run(rs)
+	walls := make([][]time.Duration, len(rs))
+	for r := 0; r < opts.Repeats; r++ {
+		results, _ := engine.New(engine.Config{Workers: 1, Obs: rec}).Run(rs)
+		for i, res := range results {
+			if res.Err != nil {
+				return nil, fmt.Errorf("%s: %w", stages[i%len(stages)].name, res.Err)
+			}
+			walls[i] = append(walls[i], res.Wall)
+		}
+	}
 
 	var rows []Row
-	idx := 0
-	for _, spec := range specs {
-		for _, w := range ws {
-			var medians [3]time.Duration
-			for si, st := range stages {
-				ds := make([]time.Duration, 0, opts.Repeats)
-				for r := 0; r < opts.Repeats; r++ {
-					res := results[idx]
-					idx++
-					if res.Err != nil {
-						return nil, fmt.Errorf("%s: %w", st.name, res.Err)
-					}
-					ds = append(ds, res.Wall)
-				}
-				medians[si] = medianOf(ds)
-			}
-			row := Row{
-				Program:  w.Name,
-				Device:   spec.Name,
-				NativeNs: medians[0].Nanoseconds(),
-				ObjectNs: medians[1].Nanoseconds(),
-				IntraNs:  medians[2].Nanoseconds(),
-			}
-			if row.NativeNs > 0 {
-				row.ObjectOverhead = float64(row.ObjectNs) / float64(row.NativeNs)
-				row.IntraOverhead = float64(row.IntraNs) / float64(row.NativeNs)
-			}
-			rows = append(rows, row)
+	for i := 0; i < len(rs); i += len(stages) {
+		row := Row{
+			Program:  rs[i].Workload.Name,
+			Device:   rs[i].Spec.Name,
+			NativeNs: medianOf(walls[i]).Nanoseconds(),
+			ObjectNs: medianOf(walls[i+1]).Nanoseconds(),
+			IntraNs:  medianOf(walls[i+2]).Nanoseconds(),
 		}
+		if row.NativeNs > 0 {
+			row.ObjectOverhead = float64(row.ObjectNs) / float64(row.NativeNs)
+			row.IntraOverhead = float64(row.IntraNs) / float64(row.NativeNs)
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

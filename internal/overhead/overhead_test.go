@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"drgpum/internal/gpu"
+	"drgpum/internal/obs"
 	"drgpum/internal/workloads"
 )
 
@@ -53,7 +54,7 @@ func TestFigure6Shape(t *testing.T) {
 		t.Skip("timing measurement")
 	}
 	spec := gpu.SpecRTX3090()
-	rows, err := Measure([]gpu.DeviceSpec{spec}, Options{Repeats: 3, SamplingPeriod: 100})
+	rows, err := Measure(nil, []gpu.DeviceSpec{spec}, Options{Repeats: 3, SamplingPeriod: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +83,34 @@ func TestFigure6Shape(t *testing.T) {
 	Render(&b, rows)
 	if !strings.Contains(b.String(), "geomean") {
 		t.Error("render missing summary lines")
+	}
+}
+
+// TestEveryRepeatExecutes: each repeat of a median must really run, since
+// deduplicating a median's samples would fabricate data. Measure's
+// engines must count one fresh execution per (repeat, stage) and serve
+// nothing from a cache.
+func TestEveryRepeatExecutes(t *testing.T) {
+	const repeats = 2
+	rec := obs.New()
+	rows, err := Measure(rec, []gpu.DeviceSpec{gpu.SpecRTX3090()},
+		Options{Repeats: repeats, Workloads: []string{"simplemulticopy"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Program != "simplemulticopy" {
+		t.Fatalf("rows = %+v, want one simplemulticopy row", rows)
+	}
+	c := map[string]uint64{}
+	for _, v := range rec.Snapshot().Counters {
+		c[v.Name] = v.Value
+	}
+	want := uint64(repeats * len(stages))
+	if c["engine runs"] != want || c["engine misses"] != want {
+		t.Errorf("engine runs %d, misses %d; want %d of each", c["engine runs"], c["engine misses"], want)
+	}
+	if got := c["engine cache hits"] + c["engine dedups"]; got != 0 {
+		t.Errorf("engine hits + dedups = %d, want 0", got)
 	}
 }
 

@@ -1,10 +1,12 @@
-// Fuzz coverage for the two parsing surfaces an untrusted client can
-// reach: the session-ID grammar and the /v1/sessions/... router. Both
-// run in `go test` as regression tests over their seed corpora; `go
-// test -fuzz` explores further.
+// Fuzz coverage for the three parsing surfaces an untrusted client can
+// reach: the session-ID grammar, the /v1/sessions/... router and the
+// submit body. All run in `go test` as regression tests over their seed
+// corpora; `go test -fuzz` explores further.
 package serve
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +14,8 @@ import (
 	"time"
 
 	"drgpum/internal/engine"
+	"drgpum/internal/gpu"
+	"drgpum/internal/workloads"
 )
 
 // FuzzSessionID pins the parser's round-trip property: every accepted
@@ -96,6 +100,55 @@ func FuzzSessionRoute(f *testing.F) {
 			e := decodeError(t, rr.Body.Bytes())
 			if e.Code == "" {
 				t.Fatalf("path %q: %d without an error code", suffix, rr.Code)
+			}
+		}
+	})
+}
+
+// FuzzSubmitBody decodes arbitrary submit bodies the way the handler
+// does and maps every run through engine.Request.Spec, the parser the
+// drgpum CLI shares. It submits and executes nothing. Nothing may panic,
+// and every accepted run must be a well-formed profiling run: a
+// registered workload at object or intra-object level, a sampling period
+// of at least 1, and a window only when streaming.
+func FuzzSubmitBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"runs":[]}`,
+		`{"runs":[{"workload":"simplemulticopy","bogus":1}]}`,
+		`{"runs":[{"workload":"nonesuch"}]}`,
+		`{"runs":[{"workload":"simplemulticopy","device":"h100"}]}`,
+		`{"runs":[{"workload":"simplemulticopy","variant":"fast"}]}`,
+		`{"runs":[{"workload":"simplemulticopy","mode":"warp"}]}`,
+		`{"runs":[{"workload":"simplemulticopy","sampling":-3}]}`,
+		`{"runs":[{"workload":"simplemulticopy","streaming":true,"window":-1}]}`,
+		`{"runs":[{"workload":"simplemulticopy","window":4}]}`,
+		`{"runs":[{"workload":"simplemulticopy","device":"A100","variant":"Optimized","mode":"OBJECT"}]}`,
+		`{"runs":[{"workload":"rodinia/huffman"},{"workload":"polybench/bicg","mode":"object","sampling":100},` +
+			`{"workload":"simplemulticopy","streaming":true,"window":8,"pipelined":true,"memcheck":true}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeSubmit(nil, io.NopCloser(bytes.NewReader(body)))
+		if err != nil {
+			return
+		}
+		for i, rr := range req.Runs {
+			s, err := rr.Spec()
+			if err != nil {
+				continue
+			}
+			if w, ok := workloads.Lookup(rr.Workload); !ok || s.Workload != w {
+				t.Fatalf("runs[%d] %+v: accepted workload %q is not the registered one", i, rr, rr.Workload)
+			}
+			if s.Mode != engine.ModeProfile {
+				t.Fatalf("runs[%d] %+v: mode %s, want profile", i, rr, s.Mode)
+			}
+			if s.Level != gpu.PatchAPI && s.Level != gpu.PatchFull {
+				t.Fatalf("runs[%d] %+v: level %s", i, rr, s.Level)
+			}
+			if s.Sampling < 1 || s.Window < 0 || (s.Window > 0 && !s.Streaming) {
+				t.Fatalf("runs[%d] %+v: sampling %d, window %d, streaming %v", i, rr, s.Sampling, s.Window, s.Streaming)
 			}
 		}
 	})

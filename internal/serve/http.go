@@ -14,7 +14,6 @@ import (
 	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
 	"drgpum/internal/obs"
-	"drgpum/internal/workloads"
 )
 
 // The HTTP/JSON API, on net/http only:
@@ -27,23 +26,11 @@ import (
 //
 // Errors are structured JSON: {"error":{"code":..., "message":...}}.
 
-// RunRequest is one run of a submission, in CLI vocabulary. Zero values
-// mean the CLI defaults (naive, rtx3090, intra, sampling 1).
-type RunRequest struct {
-	Workload  string `json:"workload"`
-	Variant   string `json:"variant,omitempty"`
-	Device    string `json:"device,omitempty"`
-	Mode      string `json:"mode,omitempty"`
-	Sampling  int    `json:"sampling,omitempty"`
-	Streaming bool   `json:"streaming,omitempty"`
-	Window    int    `json:"window,omitempty"`
-	Pipelined bool   `json:"pipelined,omitempty"`
-	Memcheck  bool   `json:"memcheck,omitempty"`
-}
-
-// SubmitRequest is the POST /v1/sessions body.
+// SubmitRequest is the POST /v1/sessions body. Each run is in the drgpum
+// CLI's vocabulary, and engine.Request.Spec parses it as it parses the
+// CLI's flags.
 type SubmitRequest struct {
-	Runs []RunRequest `json:"runs"`
+	Runs []engine.Request `json:"runs"`
 }
 
 // SubmitResponse acknowledges a submission.
@@ -60,7 +47,6 @@ type EngineStats struct {
 	Hits   int `json:"hits"`
 	Dedups int `json:"dedups"`
 	Misses int `json:"misses"`
-	Timed  int `json:"timed"`
 }
 
 // RunStatus is one run's slot in a status response.
@@ -187,10 +173,8 @@ func (s *Server) allow(w http.ResponseWriter, r *http.Request, method string) bo
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	var req SubmitRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeSubmit(w, r.Body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding submission: %v", err))
 		return
 	}
@@ -199,86 +183,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	specs := make([]engine.RunSpec, len(req.Runs))
-	runs := make([]runMeta, len(req.Runs))
 	for i, rr := range req.Runs {
-		spec, meta, err := buildSpec(rr)
+		spec, err := rr.Spec()
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("runs[%d]: %v", i, err))
 			return
 		}
 		specs[i] = spec
-		runs[i] = meta
 	}
-	sess := s.submit(specs, runs)
+	sess := s.submit(specs)
 	w.Header().Set("Location", "/v1/sessions/"+sess.ID)
 	s.writeJSON(w, http.StatusCreated, SubmitResponse{ID: sess.ID, State: StatePending.String(), Runs: len(specs)})
 }
 
-// buildSpec maps one RunRequest onto an engine.RunSpec, mirroring the
-// drgpum CLI's flag vocabulary and defaults.
-func buildSpec(rr RunRequest) (engine.RunSpec, runMeta, error) {
-	var zero engine.RunSpec
-	wl, ok := workloads.Lookup(rr.Workload)
-	if !ok {
-		return zero, runMeta{}, fmt.Errorf("unknown workload %q", rr.Workload)
-	}
-
-	var spec gpu.DeviceSpec
-	switch strings.ToLower(rr.Device) {
-	case "", "rtx3090":
-		spec = gpu.SpecRTX3090()
-	case "a100":
-		spec = gpu.SpecA100()
-	default:
-		return zero, runMeta{}, fmt.Errorf("unknown device %q (want rtx3090 or a100)", rr.Device)
-	}
-
-	variant := workloads.VariantNaive
-	switch strings.ToLower(rr.Variant) {
-	case "", "naive":
-	case "optimized":
-		variant = workloads.VariantOptimized
-	default:
-		return zero, runMeta{}, fmt.Errorf("unknown variant %q (want naive or optimized)", rr.Variant)
-	}
-
-	level := gpu.PatchFull
-	mode := "intra"
-	switch strings.ToLower(rr.Mode) {
-	case "", "intra":
-	case "object":
-		level = gpu.PatchAPI
-		mode = "object"
-	default:
-		return zero, runMeta{}, fmt.Errorf("unknown mode %q (want object or intra)", rr.Mode)
-	}
-
-	sampling := rr.Sampling
-	if sampling < 0 {
-		return zero, runMeta{}, fmt.Errorf("sampling must be >= 0, got %d", sampling)
-	}
-	if sampling == 0 {
-		sampling = 1
-	}
-	if rr.Window < 0 {
-		return zero, runMeta{}, fmt.Errorf("window must be >= 0, got %d", rr.Window)
-	}
-	if rr.Window > 0 && !rr.Streaming {
-		return zero, runMeta{}, fmt.Errorf("window requires streaming")
-	}
-
-	return engine.RunSpec{
-		Mode:      engine.ModeProfile,
-		Workload:  wl,
-		Spec:      spec,
-		Variant:   variant,
-		Level:     level,
-		Sampling:  sampling,
-		Streaming: rr.Streaming,
-		Window:    rr.Window,
-		Pipelined: rr.Pipelined,
-		Opts:      engine.RunOpts{Memcheck: rr.Memcheck},
-	}, runMeta{Workload: wl.Name, Variant: variant.String(), Mode: mode, Sampling: sampling}, nil
+// decodeSubmit reads one submit body: at most maxSubmitBytes, with
+// unknown fields rejected.
+func decodeSubmit(w http.ResponseWriter, body io.ReadCloser) (SubmitRequest, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	var req SubmitRequest
+	err := dec.Decode(&req)
+	return req, err
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, sess *Session) {
@@ -288,10 +213,15 @@ func (s *Server) handleStatus(w http.ResponseWriter, sess *Session) {
 		State:   sess.state.String(),
 		Created: sess.created.UTC().Format(time.RFC3339Nano),
 		Error:   sess.errMsg,
-		Runs:    make([]RunStatus, len(sess.runs)),
+		Runs:    make([]RunStatus, len(sess.specs)),
 	}
-	for i, m := range sess.runs {
-		resp.Runs[i] = RunStatus{Workload: m.Workload, Variant: m.Variant, Mode: m.Mode, Sampling: m.Sampling}
+	for i, spec := range sess.specs {
+		// Echo each run in the request's vocabulary: names, not enum values.
+		mode := "intra"
+		if spec.Level == gpu.PatchAPI {
+			mode = "object"
+		}
+		resp.Runs[i] = RunStatus{Workload: spec.Workload.Name, Variant: spec.Variant.String(), Mode: mode, Sampling: spec.Sampling}
 		if i < len(sess.results) && sess.results[i].Err != nil {
 			resp.Runs[i].Error = sess.results[i].Err.Error()
 		}
@@ -303,7 +233,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, sess *Session) {
 			Hits:   sess.stats.Hits,
 			Dedups: sess.stats.Dedups,
 			Misses: sess.stats.Misses,
-			Timed:  sess.stats.Timed,
 		}
 		snap := sess.rec.Snapshot().ZeroWall()
 		resp.Obs = &snap
@@ -405,7 +334,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(&b, "engine hits %d\n", es.Hits)
 	fmt.Fprintf(&b, "engine dedups %d\n", es.Dedups)
 	fmt.Fprintf(&b, "engine misses %d\n", es.Misses)
-	fmt.Fprintf(&b, "engine timed %d\n", es.Timed)
 	s.rec.Snapshot().WriteText(&b, false)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(b.Len()))

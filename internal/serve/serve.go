@@ -116,11 +116,10 @@ func New(cfg Config) *Server {
 
 // submit stores a new session and starts its batch. The returned session
 // already has its ID.
-func (s *Server) submit(specs []engine.RunSpec, runs []runMeta) *Session {
+func (s *Server) submit(specs []engine.RunSpec) *Session {
 	sess := &Session{
 		state:   StatePending,
 		specs:   specs,
-		runs:    runs,
 		created: s.now(),
 		rec:     obs.New(),
 		done:    make(chan struct{}),

@@ -151,8 +151,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if st.Engine == nil {
 		t.Fatal("finished status carries no engine batch stats")
 	}
-	if got := st.Engine.Hits + st.Engine.Dedups + st.Engine.Misses + st.Engine.Timed; got != st.Engine.Runs || st.Engine.Runs != 2 {
-		t.Fatalf("batch stats %+v violate runs=hits+dedups+misses+timed", st.Engine)
+	if got := st.Engine.Hits + st.Engine.Dedups + st.Engine.Misses; got != st.Engine.Runs || st.Engine.Runs != 2 {
+		t.Fatalf("batch stats %+v violate runs=hits+dedups+misses", st.Engine)
 	}
 	if st.Obs == nil {
 		t.Fatal("finished status carries no per-session obs snapshot")

@@ -41,15 +41,6 @@ func (s State) String() string {
 	}
 }
 
-// runMeta echoes one submitted run back in status responses, in the
-// request's own vocabulary (names, not enum values).
-type runMeta struct {
-	Workload string
-	Variant  string
-	Mode     string
-	Sampling int
-}
-
 // Session is one submitted RunSpec batch and everything the API serves
 // about it. The mutex guards the mutable fields; the session goroutine
 // writes them exactly once at each transition, handlers only read.
@@ -62,7 +53,6 @@ type Session struct {
 	mu       sync.Mutex
 	state    State
 	specs    []engine.RunSpec
-	runs     []runMeta
 	results  []engine.Result
 	stats    engine.Stats // per-batch delta from engine.RunWithStats
 	errMsg   string       // first error when state == StateFailed

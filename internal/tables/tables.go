@@ -23,58 +23,6 @@ import (
 	"drgpum/internal/workloads"
 )
 
-// Profile runs one workload variant under the profiler and returns the
-// report. level selects object-level (gpu.PatchAPI) or intra-object
-// (gpu.PatchFull) analysis; at PatchFull the workload's paper whitelist is
-// applied with the given sampling period (<=1 instruments every launch).
-//
-// Profile goes through the shared run engine, so a tuple already profiled
-// anywhere in the process (a table sweep, another Profile call) is served
-// from the memoized cache; treat the returned report as read-only.
-func Profile(w *workloads.Workload, spec gpu.DeviceSpec, v workloads.Variant, level gpu.PatchLevel, sampling int) (*core.Report, error) {
-	return ProfileWith(w, spec, v, level, sampling, ProfileOpts{})
-}
-
-// ProfileOpts carries the optional extras of a profiling run, beyond the
-// paper's standard configuration.
-type ProfileOpts struct {
-	// Memcheck attaches the memory-safety checker; the report gains a
-	// memcheck section. Kernel whitelist and sampling still apply to
-	// intra-object analysis, but memcheck itself observes every kernel.
-	Memcheck bool
-	// Stream enables the streaming window manager: incremental per-epoch
-	// analysis with bounded collector memory and a temporal heat map in the
-	// report. Window is the kernel-epoch length (<= 0 selects the core
-	// default). The report's findings and summary are byte-identical to an
-	// offline run; only the heat map is added.
-	Stream bool
-	Window int
-	// Pipelined decouples simulation from ingestion inside the run
-	// (engine.RunSpec.Pipelined): access batches hand off to a consumer
-	// goroutine, which runs the hooks and intra-object accumulation. The
-	// report is byte-identical either way.
-	Pipelined bool
-}
-
-// ProfileWith is Profile with extras.
-func ProfileWith(w *workloads.Workload, spec gpu.DeviceSpec, v workloads.Variant, level gpu.PatchLevel, sampling int, opts ProfileOpts) (*core.Report, error) {
-	res, err := engine.Default().Run([]engine.RunSpec{{
-		Workload:  w,
-		Spec:      spec,
-		Variant:   v,
-		Level:     level,
-		Sampling:  sampling,
-		Streaming: opts.Stream,
-		Window:    opts.Window,
-		Pipelined: opts.Pipelined,
-		Opts:      engine.RunOpts{Memcheck: opts.Memcheck},
-	}})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Report, nil
-}
-
 // Table1Row is one program's detected pattern set.
 type Table1Row struct {
 	Program  string

@@ -14,6 +14,23 @@ import (
 	"drgpum/internal/workloads"
 )
 
+// profile returns w's Table 1 profile (naive variant, RTX 3090,
+// intra-object, every launch) from the shared engine, so the table sweeps
+// and these spot checks execute each tuple once per process.
+func profile(w *workloads.Workload) (*core.Report, error) {
+	res, err := engine.Default().Run([]engine.RunSpec{{
+		Workload: w,
+		Spec:     gpu.SpecRTX3090(),
+		Variant:  workloads.VariantNaive,
+		Level:    gpu.PatchFull,
+		Sampling: 1,
+	}})
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Report, nil
+}
+
 // paperTable1 is the paper's Table 1 matrix, row for row. Keys are
 // pattern abbreviations.
 var paperTable1 = map[string][]string{
@@ -157,9 +174,8 @@ func TestTable5Coverage(t *testing.T) {
 
 // TestTable4NativeRunsCached pins that Table 4's speedup columns come from
 // ordinary cached runs: they read only simulated cycles, which are
-// deterministic, so no run takes the engine's exclusive timed lane, and a
-// second call on the same engine executes nothing and renders the same
-// bytes.
+// deterministic, so a second call on the same engine executes nothing and
+// renders the same bytes.
 func TestTable4NativeRunsCached(t *testing.T) {
 	e := engine.New(engine.Config{})
 	render := func() ([]byte, engine.Stats) {
@@ -172,13 +188,9 @@ func TestTable4NativeRunsCached(t *testing.T) {
 		return b.Bytes(), e.Stats()
 	}
 	first, st1 := render()
-	if st1.Timed != 0 {
-		t.Errorf("Table4With took the timed lane %d times, want 0", st1.Timed)
-	}
 	second, st2 := render()
-	if st2.Misses != st1.Misses || st2.Timed != st1.Timed {
-		t.Errorf("second Table4With executed runs: misses %d -> %d, timed %d -> %d",
-			st1.Misses, st2.Misses, st1.Timed, st2.Timed)
+	if st2.Misses != st1.Misses {
+		t.Errorf("second Table4With executed runs: misses %d -> %d", st1.Misses, st2.Misses)
 	}
 	if !bytes.Equal(first, second) {
 		t.Errorf("second Table4With rendered different bytes (%d vs %d)", len(second), len(first))
@@ -227,7 +239,7 @@ func TestTable4NamedObjects(t *testing.T) {
 			continue
 		}
 		w, _ := workloads.ByName(c.workload)
-		rep, err := Profile(w, gpu.SpecRTX3090(), workloads.VariantNaive, gpu.PatchFull, 1)
+		rep, err := profile(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +267,7 @@ func TestPaperMetricsSpotChecks(t *testing.T) {
 	// MiniMDock §7.6: pMem_conformations has ~2.4e-3% of elements accessed
 	// and fragmentation ~4.89e-3%.
 	w, _ := workloads.ByName("minimdock")
-	rep, err := Profile(w, gpu.SpecRTX3090(), workloads.VariantNaive, gpu.PatchFull, 1)
+	rep, err := profile(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +285,7 @@ func TestPaperMetricsSpotChecks(t *testing.T) {
 
 	// XSBench §7.5: GSD.index_grid is ~5% accessed.
 	w, _ = workloads.ByName("xsbench")
-	rep, err = Profile(w, gpu.SpecRTX3090(), workloads.VariantNaive, gpu.PatchFull, 1)
+	rep, err = profile(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +301,7 @@ func TestPaperMetricsSpotChecks(t *testing.T) {
 	// GramSchmidt §7.3: the slice-level access-frequency variation of
 	// R_gpu is 58%.
 	w, _ = workloads.ByName("polybench/gramschmidt")
-	rep, err = Profile(w, gpu.SpecRTX3090(), workloads.VariantNaive, gpu.PatchFull, 1)
+	rep, err = profile(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +356,7 @@ func TestAdvisorPredictsTable4(t *testing.T) {
 	}
 	for _, row := range rows {
 		w, _ := workloads.ByName(row.Program)
-		rep, err := Profile(w, gpu.SpecRTX3090(), workloads.VariantNaive, gpu.PatchFull, 1)
+		rep, err := profile(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +416,7 @@ func TestAllWorkloadReportsRender(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			rep, err := Profile(w, gpu.SpecRTX3090(), workloads.VariantNaive, gpu.PatchFull, 1)
+			rep, err := profile(w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -498,7 +510,7 @@ func TestReplayMatchesLive(t *testing.T) {
 // paper's taxonomy.
 func TestSyntheticExhibitsAllTenPatterns(t *testing.T) {
 	w := workloads.Synthetic()
-	rep, err := Profile(w, gpu.SpecRTX3090(), workloads.VariantNaive, gpu.PatchFull, 1)
+	rep, err := profile(w)
 	if err != nil {
 		t.Fatal(err)
 	}
