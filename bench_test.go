@@ -47,7 +47,7 @@ func BenchmarkTable1PatternMatrix(b *testing.B) {
 	var rows []tables.Table1Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = tables.Table1With(freshEngine(), gpu.SpecRTX3090())
+		rows, err = tables.Table1(freshEngine(), gpu.SpecRTX3090())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func BenchmarkTable4PeakReduction(b *testing.B) {
 	var rows []tables.Table4Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = tables.Table4With(freshEngine())
+		rows, err = tables.Table4(freshEngine())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,12 +84,13 @@ func BenchmarkTable4PeakReduction(b *testing.B) {
 }
 
 // BenchmarkTable5Comparison regenerates Table 5: DrGPUM vs the
-// ValueExpert- and Compute-Sanitizer-style baselines.
+// ValueExpert-style profiler and the memory-safety checker (the Compute
+// Sanitizer analog).
 func BenchmarkTable5Comparison(b *testing.B) {
 	var rows []tables.Table5Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = tables.Table5With(freshEngine(), gpu.SpecRTX3090())
+		rows, err = tables.Table5(freshEngine(), gpu.SpecRTX3090())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func BenchmarkFigure6Overhead(b *testing.B) {
 func BenchmarkEngineTable1(b *testing.B) {
 	run := func(b *testing.B, cfg engine.Config) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tables.Table1With(engine.New(cfg), gpu.SpecRTX3090()); err != nil {
+			if _, err := tables.Table1(engine.New(cfg), gpu.SpecRTX3090()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -146,20 +147,20 @@ func BenchmarkEngineTable1(b *testing.B) {
 
 // BenchmarkEngineTable1ThenTable5 measures the cross-driver memoization
 // win: one iteration regenerates Table 1 and then Table 5 on a shared
-// engine, the way cmd/drgpum-tables and cmd/drgpum-compare share the
-// default engine within a process. Table 5's twelve DrGPUM profiles are
-// exactly Table 1's tuples, so they come from cache and only the
-// baseline-tool runs are fresh work — compare against the sum of
+// engine, the way drgpum-tables -table all shares one engine across its
+// tables. Table 5's DrGPUM profiles are exactly Table 1's tuples, so
+// they come from cache and only the baselines runs are fresh work —
+// compare against the sum of
 // BenchmarkTable1PatternMatrix and BenchmarkTable5Comparison, which
 // start cold. The custom metrics surface engine.Stats per iteration.
 func BenchmarkEngineTable1ThenTable5(b *testing.B) {
 	var stats engine.Stats
 	for i := 0; i < b.N; i++ {
 		e := freshEngine()
-		if _, err := tables.Table1With(e, gpu.SpecRTX3090()); err != nil {
+		if _, err := tables.Table1(e, gpu.SpecRTX3090()); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tables.Table5With(e, gpu.SpecRTX3090()); err != nil {
+		if _, err := tables.Table5(e, gpu.SpecRTX3090()); err != nil {
 			b.Fatal(err)
 		}
 		stats = e.Stats()

@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
 	"drgpum/internal/lint"
 	"drgpum/internal/staticadv"
@@ -245,7 +246,7 @@ func runStride(pkgs []*lint.Package, jsonOut bool) {
 // runXVal builds and prints the cross-validation table, optionally
 // enforcing the gate; a gate failure is returned, not fatal.
 func runXVal(gate, jsonOut bool) error {
-	rep, err := tables.CrossValidate(gpu.SpecRTX3090())
+	rep, err := tables.CrossValidate(engine.Default(), gpu.SpecRTX3090())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -1,13 +1,14 @@
-// Command drgpum-tables regenerates the paper's Table 1 (pattern matrix)
-// and Table 4 (peak-memory reductions and speedups) from the re-implemented
-// workloads.
+// Command drgpum-tables regenerates the paper's Table 1 (pattern matrix),
+// Table 4 (peak-memory reductions and speedups) and Table 5 (DrGPUM vs
+// the ValueExpert and Compute Sanitizer baselines) from the
+// re-implemented workloads, on one engine.
 //
 // Usage:
 //
-//	drgpum-tables [-table 1|4|all] [-o dir] [-j N] [-stats]
+//	drgpum-tables [-table 1|4|5|all] [-o dir] [-j N] [-stats]
 //
 // -j 1 runs every profile in submission order on one goroutine; the
-// output is byte-identical at any -j. drgpum-compare regenerates Table 5.
+// output is byte-identical at any -j.
 package main
 
 import (
@@ -26,13 +27,16 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("drgpum-tables: ")
-	which := flag.String("table", "all", "which table to regenerate: 1, 4 or all")
+	which := flag.String("table", "all", "which table to regenerate: 1, 4, 5 or all")
 	outDir := flag.String("o", "", "also write artifact-style result files (patterns.txt, memory_peak.txt) into this directory")
 	jobs := flag.Int("j", 0, "max concurrent runs (0 = GOMAXPROCS, 1 = in submission order; output is byte-identical either way)")
 	stats := flag.Bool("stats", false, "print the engine's aggregated self-observability (phases with wall time, counters) after the tables")
 	flag.Parse()
-	if *which != "1" && *which != "4" && *which != "all" {
-		log.Fatalf("unknown -table %q (want 1, 4 or all; run drgpum-compare for Table 5)", *which)
+	if *which != "1" && *which != "4" && *which != "5" && *which != "all" {
+		log.Fatalf("unknown -table %q (want 1, 4, 5 or all)", *which)
+	}
+	if *which == "5" && *outDir != "" {
+		log.Fatal("-o writes Tables 1 and 4 only; it does not apply to -table 5")
 	}
 
 	var master *obs.Recorder
@@ -60,7 +64,7 @@ func main() {
 	}
 
 	if *which == "1" || *which == "all" {
-		rows, err := tables.Table1With(eng, gpu.SpecRTX3090())
+		rows, err := tables.Table1(eng, gpu.SpecRTX3090())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,13 +74,24 @@ func main() {
 		results("patterns.txt", func(w *os.File) { tables.RenderTable1(w, rows) })
 	}
 	if *which == "4" || *which == "all" {
-		rows, err := tables.Table4With(eng)
+		rows, err := tables.Table4(eng)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("Table 4: peak memory reductions and speedups guided by DrGPUM")
 		tables.RenderTable4(os.Stdout, rows)
 		results("memory_peak.txt", func(w *os.File) { tables.RenderTable4(w, rows) })
+	}
+	if *which == "5" || *which == "all" {
+		rows, err := tables.Table5(eng, gpu.SpecRTX3090())
+		if err != nil {
+			log.Fatal(err)
+		}
+		if *which == "all" {
+			fmt.Println()
+		}
+		fmt.Println("Table 5: DrGPUM vs state-of-the-art tools")
+		tables.RenderTable5(os.Stdout, rows)
 	}
 	if *stats {
 		fmt.Println()

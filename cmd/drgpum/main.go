@@ -13,13 +13,16 @@
 //	       [-stream] [-window N] [-heatmap] [-pipelined]
 //	       [-json] [-verbose] [-timeline] [-memcheck] [-stats]
 //	       [-gui liveness.json] [-html report.html] [-save profile.json]
-//	drgpum -workload polybench/2mm -diff
+//	drgpum -workload polybench/2mm -diff [-device D] [-mode M] [-sampling N]
+//	       [-stream] [-window N] [-pipelined] [-memcheck]
 //	drgpum -workload memcheck/knownbad -memcheck
 //	drgpum -workload simplemulticopy -gui liveness.json   # Figure 7
 //	drgpum -load profile.json [-ti 4] [-ra-tolerance 0.10] [-peaks 2]
 //	       [-json] [-verbose] [-timeline] [-gui liveness.json] [-html report.html]
-//	drgpum -load optimized.json -baseline naive.json
+//	drgpum -load optimized.json -baseline naive.json [-ti 4] [-ra-tolerance 0.10] [-peaks 2]
 //	drgpum -list
+//
+// A flag the chosen form does not read is an error, not ignored.
 package main
 
 import (
@@ -28,6 +31,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"drgpum/internal/core"
 	"drgpum/internal/engine"
@@ -77,6 +82,20 @@ func main() {
 		}
 		return
 	}
+	path := "a workload run"
+	switch {
+	case *loadPath != "" && *baseline != "":
+		path = "-load with -baseline"
+	case *loadPath != "":
+		path = "-load"
+	case *diff:
+		path = "-diff"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(pathFlags[path]), f.Name) {
+			log.Fatalf("-%s does not apply to %s", f.Name, path)
+		}
+	})
 	if *loadPath != "" {
 		cfg := core.DefaultConfig()
 		cfg.ObjLevel.IdlenessThreshold = *ti
@@ -92,13 +111,6 @@ func main() {
 			gui: *guiPath, html: *htmlPath, save: *savePath})
 		return
 	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "baseline", "ti", "ra-tolerance", "peaks":
-			log.Fatalf("-%s applies to a saved profile; use it with -load", f.Name)
-		}
-	})
-
 	if *heatmap {
 		*stream = true
 	}
@@ -135,6 +147,15 @@ func main() {
 	}
 	output(res[0].Report, outputs{json: *jsonOut, verbose: *verbose, timeline: *timeline, heatmap: *heatmap,
 		stats: *stats, gui: *guiPath, html: *htmlPath, save: *savePath})
+}
+
+// pathFlags names the flags each of drgpum's paths reads.
+var pathFlags = map[string]string{
+	"a workload run": "workload variant device mode sampling stream window heatmap pipelined memcheck " +
+		"json verbose timeline stats gui html save",
+	"-diff":                "diff workload device mode sampling stream window pipelined memcheck",
+	"-load":                "load ti ra-tolerance peaks json verbose timeline gui html save",
+	"-load with -baseline": "load baseline ti ra-tolerance peaks",
 }
 
 // outputs selects what output prints and which files it writes.

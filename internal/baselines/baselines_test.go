@@ -8,75 +8,17 @@ import (
 	"drgpum/internal/pattern"
 )
 
-// wire attaches both baseline tools to a fresh device at PatchFull.
-func wire() (*gpu.Device, *ValueExpert, *Memcheck) {
+// wire attaches ValueExpert to a fresh device at PatchFull.
+func wire() (*gpu.Device, *ValueExpert) {
 	dev := gpu.NewDevice(gpu.SpecTest())
 	ve := NewValueExpert()
-	mc := NewMemcheck()
 	dev.AddHook(ve)
-	dev.AddHook(mc)
 	dev.SetPatchLevel(gpu.PatchFull)
-	return dev, ve, mc
-}
-
-func TestMemcheckLeakDetection(t *testing.T) {
-	dev, _, mc := wire()
-	leaked, _ := dev.Malloc(512)
-	ok, _ := dev.Malloc(256)
-	_ = dev.Free(ok)
-
-	leaks := mc.Leaks()
-	if len(leaks) != 1 || leaks[0].Ptr != leaked || leaks[0].Size != 512 {
-		t.Fatalf("leaks = %+v", leaks)
-	}
-	pats := mc.DetectedPatterns()
-	if len(pats) != 1 || pats[0] != pattern.MemoryLeak {
-		t.Errorf("patterns = %v", pats)
-	}
-	if !strings.Contains(mc.Summary(), "1 leaked") {
-		t.Errorf("summary = %q", mc.Summary())
-	}
-}
-
-func TestMemcheckNoLeaksNoPattern(t *testing.T) {
-	dev, _, mc := wire()
-	p, _ := dev.Malloc(256)
-	_ = dev.Free(p)
-	if pats := mc.DetectedPatterns(); len(pats) != 0 {
-		t.Errorf("patterns = %v", pats)
-	}
-}
-
-func TestMemcheckOOBAndMisaligned(t *testing.T) {
-	dev, _, mc := wire()
-	p, _ := dev.Malloc(64)
-	_ = dev.LaunchFunc(nil, "bad", gpu.Dim1(1), gpu.Dim1(1), func(ctx *gpu.ExecContext) {
-		ctx.StoreU32(p+64, 1)  // out of bounds
-		_ = ctx.LoadU32(p + 2) // misaligned 4-byte load
-		ctx.StoreU32(p, 1)     // fine
-	})
-	_ = dev.Free(p)
-
-	if oob := mc.OOB(); len(oob) != 1 || oob[0].Kernel != "bad" {
-		t.Errorf("OOB = %+v", oob)
-	}
-	if mis := mc.Misaligned(); len(mis) != 1 || mis[0].Addr != p+2 {
-		t.Errorf("misaligned = %+v", mis)
-	}
-}
-
-func TestMemcheckIgnoresPoolAPIs(t *testing.T) {
-	dev, _, mc := wire()
-	dev.CustomAlloc("pool.alloc", 0x5000, 100)
-	// Custom pool tensors are invisible to driver-level memcheck — exactly
-	// the paper's §5.4 observation.
-	if leaks := mc.Leaks(); len(leaks) != 0 {
-		t.Errorf("memcheck saw pool allocations: %+v", leaks)
-	}
+	return dev, ve
 }
 
 func TestValueExpertSilentStores(t *testing.T) {
-	dev, ve, _ := wire()
+	dev, ve := wire()
 	p, _ := dev.Malloc(64)
 	_ = dev.LaunchFunc(nil, "silent", gpu.Dim1(1), gpu.Dim1(1), func(ctx *gpu.ExecContext) {
 		ctx.StoreU32(p, 7)
@@ -104,7 +46,7 @@ func TestValueExpertSilentStores(t *testing.T) {
 }
 
 func TestValueExpertSingleValued(t *testing.T) {
-	dev, ve, _ := wire()
+	dev, ve := wire()
 	p, _ := dev.Malloc(64)
 	_ = dev.LaunchFunc(nil, "zeros", gpu.Dim1(1), gpu.Dim1(1), func(ctx *gpu.ExecContext) {
 		for i := 0; i < 16; i++ {
@@ -118,7 +60,7 @@ func TestValueExpertSingleValued(t *testing.T) {
 }
 
 func TestValueExpertUnusedAllocationReasoning(t *testing.T) {
-	dev, ve, _ := wire()
+	dev, ve := wire()
 	unused, _ := dev.Malloc(128)
 	used, _ := dev.Malloc(64)
 	_ = dev.Memset(used, 0, 64, nil)
@@ -143,7 +85,7 @@ func TestValueExpertUnusedAllocationReasoning(t *testing.T) {
 }
 
 func TestValueExpertAllUsedNoPattern(t *testing.T) {
-	dev, ve, _ := wire()
+	dev, ve := wire()
 	p, _ := dev.Malloc(64)
 	_ = dev.Memset(p, 0, 64, nil)
 	_ = dev.Free(p)
@@ -153,12 +95,12 @@ func TestValueExpertAllUsedNoPattern(t *testing.T) {
 }
 
 // TestToolsMissValueAgnosticPatterns is the Table 5 negative space: a
-// program riddled with DrGPUM-detectable inefficiencies that neither
-// baseline flags beyond its own specialty.
+// program riddled with DrGPUM-detectable inefficiencies that ValueExpert
+// does not flag.
 func TestToolsMissValueAgnosticPatterns(t *testing.T) {
-	dev, ve, mc := wire()
+	dev, ve := wire()
 	// Early allocation + late deallocation + dead write + idleness, but
-	// every buffer is used and freed: nothing for either baseline.
+	// every buffer is used and freed: nothing for the value profiler.
 	early, _ := dev.Malloc(256)
 	other, _ := dev.Malloc(256)
 	_ = dev.Memset(other, 0, 256, nil)
@@ -169,8 +111,5 @@ func TestToolsMissValueAgnosticPatterns(t *testing.T) {
 
 	if pats := ve.DetectedPatterns(); len(pats) != 0 {
 		t.Errorf("ValueExpert claimed %v", pats)
-	}
-	if pats := mc.DetectedPatterns(); len(pats) != 0 {
-		t.Errorf("memcheck claimed %v", pats)
 	}
 }

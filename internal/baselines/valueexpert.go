@@ -1,3 +1,9 @@
+// Package baselines implements Table 5's ValueExpert baseline on DrGPUM's
+// instrumentation interface: the value-pattern profiler of Zhou et al.
+// (ASPLOS 2022), which reports value-level redundancies and of DrGPUM's
+// patterns only lets a user reason about unused allocations. Table 5's
+// Compute Sanitizer baseline is internal/memcheck; engine.ModeBaselines
+// runs both on one device.
 package baselines
 
 import (

@@ -44,8 +44,6 @@ type Config struct {
 	// ObjectIDMode selects the kernel object-identification scheme; the
 	// default is the paper's optimized hit-flag design.
 	ObjectIDMode gpu.ObjectIDMode
-	// DefaultElemSize is assumed for unannotated objects (bytes).
-	DefaultElemSize uint32
 	// Memcheck attaches the memory-safety checker (internal/memcheck) to
 	// the run: the allocator gains red zones and a freed-range quarantine,
 	// and the report gains an out-of-bounds / use-after-free /
@@ -119,11 +117,10 @@ const (
 // granularity.
 func DefaultConfig() Config {
 	return Config{
-		Level:           gpu.PatchAPI,
-		ObjLevel:        objlevel.DefaultConfig(),
-		IntraObj:        intraobj.DefaultConfig(),
-		TopPeaks:        2,
-		DefaultElemSize: 4,
+		Level:    gpu.PatchAPI,
+		ObjLevel: objlevel.DefaultConfig(),
+		IntraObj: intraobj.DefaultConfig(),
+		TopPeaks: 2,
 	}
 }
 
@@ -166,9 +163,6 @@ type Profiler struct {
 // the configured level. It must be called before the monitored GPU activity
 // starts; APIs invoked earlier are not observed.
 func Attach(dev *gpu.Device, cfg Config) *Profiler {
-	if cfg.DefaultElemSize == 0 {
-		cfg.DefaultElemSize = 4
-	}
 	p := &Profiler{dev: dev, cfg: cfg, collector: trace.NewCollector(), obs: cfg.Obs}
 	attachSpan := p.obs.Root().Child("attach").Start()
 	p.collector.SetObs(p.obs)
@@ -178,7 +172,6 @@ func Attach(dev *gpu.Device, cfg Config) *Profiler {
 		p.checker = memcheck.Attach(dev, memcheck.DefaultConfig())
 		p.checker.SetObs(p.obs)
 	}
-	p.collector.DefaultElemSize = cfg.DefaultElemSize
 	p.collector.SetHostTraceMode(cfg.ObjectIDMode == gpu.ObjectIDHostTrace)
 
 	if cfg.Level == gpu.PatchFull {

@@ -18,19 +18,19 @@ func renderEvaluation(t *testing.T, e *engine.Engine) string {
 	t.Helper()
 	var buf bytes.Buffer
 
-	rows1, err := tables.Table1With(e, gpu.SpecRTX3090())
+	rows1, err := tables.Table1(e, gpu.SpecRTX3090())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tables.RenderTable1(&buf, rows1)
 
-	rows4, err := tables.Table4With(e)
+	rows4, err := tables.Table4(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tables.RenderTable4(&buf, rows4)
 
-	rows5, err := tables.Table5With(e, gpu.SpecRTX3090())
+	rows5, err := tables.Table5(e, gpu.SpecRTX3090())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestEvaluationDeterminism(t *testing.T) {
 // computed, so on a shared engine the whole sweep is served from cache.
 func TestCrossDriverCacheReuse(t *testing.T) {
 	e := engine.New(engine.Config{})
-	if _, err := tables.Table1With(e, gpu.SpecRTX3090()); err != nil {
+	if _, err := tables.Table1(e, gpu.SpecRTX3090()); err != nil {
 		t.Fatal(err)
 	}
 	// One fresh profile per registered workload (12 paper programs plus
@@ -75,7 +75,7 @@ func TestCrossDriverCacheReuse(t *testing.T) {
 	if after1.Misses != nw || after1.Hits != 0 {
 		t.Fatalf("Table 1 stats = %+v, want %d fresh profiles", after1, nw)
 	}
-	if _, err := tables.Table5With(e, gpu.SpecRTX3090()); err != nil {
+	if _, err := tables.Table5(e, gpu.SpecRTX3090()); err != nil {
 		t.Fatal(err)
 	}
 	after5 := e.Stats()

@@ -2,9 +2,11 @@
 // evaluation driver: the paper's tables, the overhead figure, the
 // memcheck regression gate, the CLI tools and the profiling server all
 // describe their profiling runs as RunSpec values and hand the whole
-// batch to an Engine instead of executing them one at a time. Request
-// is a run in the vocabulary the drgpum CLI and drgpum-serve share; its
-// Spec method is the one parser of that vocabulary.
+// batch to an Engine instead of executing them one at a time. A run is a
+// DrGPUM profile, a native run, or a baselines run, whose memory-safety
+// report serves both Table 5 and the memcheck gate. Request is a run in
+// the vocabulary the drgpum CLI and drgpum-serve share; its Spec method
+// is the one parser of that vocabulary.
 //
 // Two properties make the engine safe to put under byte-identical
 // renderers:
@@ -20,8 +22,8 @@
 //     period, streaming window, pipelining, memcheck flag) with
 //     singleflight semantics: concurrent requests for the same tuple
 //     share one execution. Table 1, Table 5, the memcheck gate and the
-//     CLIs profile overlapping tuples; each is now computed once per
-//     process. Stats reports the hit/miss/dedup counts.
+//     CLIs run overlapping tuples; each is computed once per process.
+//     Stats reports the hit/miss/dedup counts.
 //
 // A wall-clock measurement needs runs that really execute and execute
 // alone. It gets them from a fresh engine with one worker: the empty
@@ -54,12 +56,11 @@ const (
 	// ModeNative runs uninstrumented and yields Result.Cycles (simulated
 	// device time) plus Result.Wall.
 	ModeNative
-	// ModeBaselines runs the ValueExpert- and Compute-Sanitizer-style
-	// baseline tools side by side and yields Result.Baselines.
+	// ModeBaselines runs the Table 5 comparison tools on one fully
+	// instrumented device: the ValueExpert-style value profiler and the
+	// memory-safety checker (internal/memcheck, the Compute Sanitizer
+	// analog). It yields Result.ValueExpert and Result.Memcheck.
 	ModeBaselines
-	// ModeMemcheck attaches only the memory-safety checker at full patch
-	// level and yields Result.Memcheck.
-	ModeMemcheck
 )
 
 // String names the mode (also the engine/<mode> span name).
@@ -71,8 +72,6 @@ func (m Mode) String() string {
 		return "native"
 	case ModeBaselines:
 		return "baselines"
-	case ModeMemcheck:
-		return "memcheck"
 	default:
 		return "unknown"
 	}
@@ -182,19 +181,15 @@ func (r Request) Spec() (RunSpec, error) {
 	return s, nil
 }
 
-// BaselineResult is what a ModeBaselines run detects.
-type BaselineResult struct {
-	ValueExpert      []pattern.Pattern
-	ComputeSanitizer []pattern.Pattern
-}
-
 // Result is one run's outcome; the populated field depends on the mode.
 // Cached results are shared between callers, so reports must be treated
 // as read-only.
 type Result struct {
-	Report    *core.Report
-	Memcheck  *memcheck.Report
-	Baselines *BaselineResult
+	Report   *core.Report
+	Memcheck *memcheck.Report
+	// ValueExpert is the pattern set a ModeBaselines run's value profiler
+	// lets a user reason about.
+	ValueExpert []pattern.Pattern
 	// Cycles is the simulated device time of a ModeNative run.
 	Cycles uint64
 	// Wall is the host wall-clock duration of the run body (device
@@ -269,9 +264,9 @@ func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg, cache: make(map[key]*entry)}
 }
 
-// defaultEngine is the process-wide engine the package-level driver
-// entry points (tables.Table1, tables.Table5, ...) and the drgpum CLI
-// share, so profiles are reused across drivers within one process.
+// defaultEngine is the process-wide engine the drgpum CLI and callers
+// without an engine of their own share, so runs are reused across
+// drivers within one process.
 var defaultEngine = New(Config{})
 
 // Default returns the shared process-wide engine.

@@ -34,16 +34,16 @@ func runDetached(s RunSpec, rec *obs.Recorder) Result {
 // construction (matching the overhead figure's methodology) and, for
 // profile runs, includes offline analysis — analysis is part of the
 // profiling cost the paper measures. rec is the run's private
-// self-observability recorder (nil when the engine has none); native and
-// baseline runs have nothing to record.
+// self-observability recorder (nil when the engine has none): profile
+// runs record into it, baselines runs record the memory-safety checker's
+// scan, and native runs have nothing to record. Every profiled run's call
+// paths embed this switch's default case, so it stays on its line.
 func exec(s RunSpec, rec *obs.Recorder) Result {
 	switch s.Mode {
 	case ModeNative:
 		return execNative(s)
 	case ModeBaselines:
-		return execBaselines(s)
-	case ModeMemcheck:
-		return execMemcheck(s, rec)
+		return execBaselines(s, rec)
 	default:
 		return execProfile(s, rec)
 	}
@@ -87,26 +87,25 @@ func execNative(s RunSpec) Result {
 	return Result{Cycles: dev.Elapsed(), Wall: time.Since(start)}
 }
 
-// execBaselines gives the baseline tools their own uninstrumented-by-
-// DrGPUM run with full per-access visibility (the Table 5 methodology).
-func execBaselines(s RunSpec) Result {
+// execBaselines runs the Table 5 comparison tools on one fully
+// instrumented device that DrGPUM does not profile: the ValueExpert-style
+// value profiler and the memory-safety checker, the repo's Compute
+// Sanitizer analog, which the zero-false-positive gate reads as well.
+// Level and Sampling are ignored: both tools observe every kernel.
+func execBaselines(s RunSpec, rec *obs.Recorder) Result {
 	dev := gpu.NewDevice(s.Spec)
 	start := time.Now()
+	// Before anything else, as in core.Attach: the checker reshapes the
+	// allocator (red zones, quarantine) before the first allocation.
+	c := memcheck.Attach(dev, memcheck.DefaultConfig())
+	c.SetObs(rec)
 	vex := baselines.NewValueExpert()
-	mc := baselines.NewMemcheck()
 	dev.AddHook(vex)
-	dev.AddHook(mc)
 	dev.SetPatchLevel(gpu.PatchFull)
-	if err := s.Workload.Run(dev, workloads.NopHost(), s.Variant); err != nil {
-		return Result{Err: fmt.Errorf("%s baselines: %w", s.Workload.Name, err)}
+	if err := s.Workload.Run(dev, checkerHost{c}, s.Variant); err != nil {
+		return Result{Err: fmt.Errorf("%s (%s) baselines: %w", s.Workload.Name, s.Variant, err)}
 	}
-	return Result{
-		Baselines: &BaselineResult{
-			ValueExpert:      vex.DetectedPatterns(),
-			ComputeSanitizer: mc.DetectedPatterns(),
-		},
-		Wall: time.Since(start),
-	}
+	return Result{ValueExpert: vex.DetectedPatterns(), Memcheck: c.Report(), Wall: time.Since(start)}
 }
 
 // checkerHost forwards workload annotations to the checker so memcheck
@@ -119,18 +118,3 @@ func (h checkerHost) Annotate(ptr gpu.DevicePtr, label string, _ uint32) bool {
 	return true
 }
 func (h checkerHost) AttachPool(pool.Observable) {}
-
-// execMemcheck runs the memory-safety checker standalone on a fully
-// instrumented device — the regression gate's configuration. Level and
-// Sampling are ignored: the checker observes every kernel.
-func execMemcheck(s RunSpec, rec *obs.Recorder) Result {
-	dev := gpu.NewDevice(s.Spec)
-	start := time.Now()
-	c := memcheck.Attach(dev, memcheck.DefaultConfig())
-	c.SetObs(rec)
-	dev.SetPatchLevel(gpu.PatchFull)
-	if err := s.Workload.Run(dev, checkerHost{c}, s.Variant); err != nil {
-		return Result{Err: fmt.Errorf("%s (%s) memcheck: %w", s.Workload.Name, s.Variant, err)}
-	}
-	return Result{Memcheck: c.Report(), Wall: time.Since(start)}
-}

@@ -55,10 +55,7 @@ func (r *Recorder) Detect(cfg Config) []pattern.Finding {
 		// Overallocation (Definition 3.8) with the Equation 1 fragmentation
 		// metric attached for Table 2 guidance.
 		if s.accessedPct < cfg.OverallocThreshold && s.fragPct < cfg.OverallocFragThreshold {
-			es := uint64(st.obj.ElemSize)
-			if es == 0 {
-				es = 4
-			}
+			es := st.obj.ElemWidth()
 			out = append(out, pattern.Finding{
 				Pattern:          pattern.Overallocation,
 				Object:           st.obj.ID,

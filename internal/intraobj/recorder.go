@@ -42,11 +42,11 @@ type objState struct {
 	obj   *trace.Object
 	elems int
 
-	// base is the object's address and es its element width (ElemSize, 4
-	// when unset); shift is log2(es) when es is a power of two and -1
-	// otherwise, so a byte offset becomes an element index by a shift or,
-	// failing that, a division. beginAPI refreshes all three: Annotate may
-	// set the element size after the state was created.
+	// base is the object's address and es its element width (ElemWidth);
+	// shift is log2(es) when es is a power of two and -1 otherwise, so a
+	// byte offset becomes an element index by a shift or, failing that, a
+	// division. beginAPI refreshes all three: Annotate may set the element
+	// size after the state was created.
 	base  gpu.DevicePtr
 	es    uint64
 	shift int
@@ -309,10 +309,7 @@ func (st *objState) beginAPI(api uint64, kernel string) {
 	}
 	st.curLo, st.curHi = st.elems, -1
 	st.base = st.obj.Ptr
-	st.es = uint64(st.obj.ElemSize)
-	if st.es == 0 {
-		st.es = 4
-	}
+	st.es = st.obj.ElemWidth()
 	st.shift = -1
 	if st.es&(st.es-1) == 0 {
 		st.shift = bits.TrailingZeros64(st.es)

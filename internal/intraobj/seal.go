@@ -41,10 +41,7 @@ func (st *objState) summarize() summary {
 	// avoided by reusing one slice-sized allocation, with the slice size
 	// approximated by the mean slice, i.e. covered/apiTouches.
 	if s.count > 0 && st.apiTouches > 0 {
-		es := uint64(st.obj.ElemSize)
-		if es == 0 {
-			es = 4
-		}
+		es := st.obj.ElemWidth()
 		if meanSlice := uint64(s.count/st.apiTouches) * es; meanSlice < st.obj.Size {
 			s.savings = st.obj.Size - meanSlice
 		}

@@ -19,6 +19,9 @@
 // accessing) host call paths from internal/callpath, and the report renders
 // deterministically: issues are deduplicated under stable keys, sorted, and
 // byte-identical across runs.
+//
+// It serves drgpum -memcheck, the zero-false-positive gate, and Table 5's
+// Compute Sanitizer column, which maps issues to patterns by Class.ID.
 package memcheck
 
 import (

@@ -147,16 +147,18 @@ var expectedLeaks = map[string]int{
 }
 
 func TestAllWorkloadsZeroFalsePositives(t *testing.T) {
-	// The gate's 24 (workload, variant) cases are independent, so they
-	// fan out through the run engine's worker pool instead of executing
-	// back to back; results come back index-addressed, so the subtests
-	// below still run in the deterministic sweep order.
+	// The gate's (workload, variant) cases are independent, so they fan
+	// out through the run engine's worker pool instead of executing back
+	// to back; results come back index-addressed, so the subtests below
+	// still run in the deterministic sweep order. The gate reads the
+	// memory-safety report of the baselines runs, the one Table 5's
+	// Compute Sanitizer column reads.
 	var specs []engine.RunSpec
 	var names []string
 	for _, w := range workloads.All() {
 		for _, v := range []workloads.Variant{workloads.VariantNaive, workloads.VariantOptimized} {
 			specs = append(specs, engine.RunSpec{
-				Mode:     engine.ModeMemcheck,
+				Mode:     engine.ModeBaselines,
 				Workload: w,
 				Spec:     gpu.SpecRTX3090(),
 				Variant:  v,
@@ -198,5 +200,26 @@ func TestSyntheticExtraUnderMemcheck(t *testing.T) {
 			t.Errorf("false positive on synthetic: %v on %q in kernel %q",
 				is.Class, is.Object.Label, is.Kernel)
 		}
+	}
+}
+
+// TestIgnoresPoolAPIs pins the paper's §5.4 observation: tensors a custom
+// pool hands out are invisible to driver-level memcheck, so one that is
+// never freed is no leak, while an unfreed driver allocation is.
+func TestIgnoresPoolAPIs(t *testing.T) {
+	dev := gpu.NewDevice(gpu.SpecTest())
+	c := memcheck.Attach(dev, memcheck.DefaultConfig())
+	dev.SetPatchLevel(gpu.PatchFull)
+	dev.CustomAlloc("pool.alloc", 0x5000, 100)
+	leaked, err := dev.Malloc(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := c.Report()
+	if len(rep.Issues) != 1 || rep.Issues[0].Class != memcheck.ClassLeak || rep.Issues[0].Object.Ptr != leaked {
+		t.Errorf("issues = %+v, want one leak of the driver allocation at 0x%x", rep.Issues, uint64(leaked))
+	}
+	if rep.Allocs != 1 {
+		t.Errorf("observed %d allocations, want only the driver one", rep.Allocs)
 	}
 }

@@ -97,7 +97,9 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	// produce in-flight overlap if an earlier one resolved too fast.
 	const goroutines = 8
 	const maxRounds = 5
+	rounds := 0
 	for round := 0; round < maxRounds; round++ {
+		rounds++
 		body := fmt.Sprintf(
 			`{"runs":[{"workload":"polybench/2mm","mode":"object","sampling":%d},{"workload":"polybench/bicg","mode":"object","sampling":%d}]}`,
 			100+round, 100+round)
@@ -155,10 +157,11 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	if st.Dedups == 0 {
 		t.Fatalf("no cross-session singleflight dedup occurred after %d rounds: %+v", maxRounds, st)
 	}
-	// Every spec was the same tuple within a round: exactly one miss per
-	// distinct (workload, sampling) key ever executed.
-	if want := st.Runs - st.Hits - st.Dedups; st.Misses != want {
-		t.Fatalf("misses %d, want %d", st.Misses, want)
+	// Every round submits the same two workloads under a fresh sampling
+	// period: exactly one miss per distinct (workload, sampling) key, so
+	// two per round, however many sessions submitted the key.
+	if want := 2 * rounds; st.Misses != want {
+		t.Fatalf("misses %d after %d round(s), want %d", st.Misses, rounds, want)
 	}
 	if r := s.Summary().Resident; r > capacity {
 		t.Fatalf("resident sessions %d exceed capacity %d after stress", r, capacity)

@@ -142,7 +142,8 @@ func (w *walker) attributeKernel(ku *kernelUse, body *ast.BlockStmt, paramBufs m
 		return true
 	})
 	// Second pass: any buffer mention outside covered address expressions
-	// escapes (the kernel does something with it the model cannot see).
+	// escapes (the kernel does something with it the model cannot see),
+	// whether through a captured binding or an inlined helper's parameter.
 	ast.Inspect(body, func(n ast.Node) bool {
 		if res.covered(n) {
 			return false
@@ -150,6 +151,9 @@ func (w *walker) attributeKernel(ku *kernelUse, body *ast.BlockStmt, paramBufs m
 		if id, ok := n.(*ast.Ident); ok {
 			if obj := w.m.pkg.Info.ObjectOf(id); obj != nil {
 				if b := w.binding[obj]; b != nil {
+					w.escape(b, id.Pos())
+				}
+				for _, b := range res.params[obj] {
 					w.escape(b, id.Pos())
 				}
 			}
@@ -284,10 +288,14 @@ func newKernelResolver(w *walker, body *ast.BlockStmt) *kernelResolver {
 				continue
 			}
 			obj := r.w.m.pkg.Info.ObjectOf(id)
-			if obj == nil {
+			// Only locals carrying addresses matter: DevicePtr or integer
+			// variables declared in this body. An assignment to a package
+			// variable, a captured variable or a parameter puts the value
+			// where the model cannot follow it, so its right side stays
+			// uncovered and the buffers it mentions escape.
+			if obj == nil || obj.Pos() < body.Pos() || obj.Pos() >= body.End() {
 				continue
 			}
-			// Only locals carrying addresses matter: DevicePtr or integer.
 			t := obj.Type()
 			if t == nil || !(isDevicePtr(t) || isIntegerType(t)) {
 				continue

@@ -1,6 +1,7 @@
 // Package deadstore is the fixture for the deadstore analyzer: adjacent
 // copy/set write pairs and write-only kernel outputs must be flagged;
-// read-between, conditional, and post-escape pairs must not.
+// read-between, conditional, and post-escape pairs, and kernel stores to
+// a buffer whose address leaks into a package variable, must not.
 package deadstore
 
 import "drgpum/gpusim"
@@ -102,5 +103,38 @@ func allowedStaging(dev *gpusim.Device, host []byte) {
 	buf, _ := dev.Malloc(64)
 	dev.Memset(buf, 0, 64, nil) //staticadv:allow deadstore
 	dev.MemcpyHtoD(buf, host, nil)
+	_ = dev.Free(buf)
+}
+
+// sink is a package variable a kernel can leak a device address into.
+var sink gpusim.DevicePtr
+
+// stash hands its pointer back through a call the model does not follow.
+func stash(p gpusim.DevicePtr) gpusim.DevicePtr { return p }
+
+// leakingHelper stores through p, then leaks p into sink.
+func leakingHelper(ctx *gpusim.ExecContext, p gpusim.DevicePtr) {
+	ctx.StoreF32(p, 1)
+	sink = stash(p)
+}
+
+// helperEscape's kernel leaks the buffer's address through an inlined
+// helper: whatever reads sink may read the stores — silent.
+func helperEscape(dev *gpusim.Device) {
+	buf, _ := dev.Malloc(4096)
+	_ = dev.LaunchFunc(nil, "leak", gpusim.Dim1(1), gpusim.Dim1(64), func(ctx *gpusim.ExecContext) {
+		leakingHelper(ctx, buf)
+	})
+	_ = dev.Free(buf)
+}
+
+// literalEscape's kernel literal leaks an interior address of the buffer
+// into sink itself — silent.
+func literalEscape(dev *gpusim.Device) {
+	buf, _ := dev.Malloc(4096)
+	_ = dev.LaunchFunc(nil, "leak2", gpusim.Dim1(1), gpusim.Dim1(64), func(ctx *gpusim.ExecContext) {
+		ctx.StoreF32(buf, 1)
+		sink = buf + 4
+	})
 	_ = dev.Free(buf)
 }

@@ -14,11 +14,13 @@ package tables
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"drgpum/internal/core"
 	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
+	"drgpum/internal/memcheck"
 	"drgpum/internal/pattern"
 	"drgpum/internal/workloads"
 )
@@ -41,16 +43,10 @@ func (r Table1Row) Has(p pattern.Pattern) bool {
 
 // Table1 profiles every workload's naive variant at intra-object
 // granularity (full sampling, the paper's per-workload kernel whitelist)
-// and returns the pattern matrix. It runs on the shared engine; see
-// Table1With.
-func Table1(spec gpu.DeviceSpec) ([]Table1Row, error) {
-	return Table1With(engine.Default(), spec)
-}
-
-// Table1With is Table1 on a caller-supplied engine: the twelve profiles
-// fan out over the engine's worker pool and rows come back in Table 1
-// order regardless of completion order.
-func Table1With(e *engine.Engine, spec gpu.DeviceSpec) ([]Table1Row, error) {
+// and returns the pattern matrix. The profiles fan out over e's worker
+// pool and rows come back in Table 1 order regardless of completion
+// order.
+func Table1(e *engine.Engine, spec gpu.DeviceSpec) ([]Table1Row, error) {
 	ws := workloads.All()
 	specs := make([]engine.RunSpec, len(ws))
 	for i, w := range ws {
@@ -144,17 +140,11 @@ type Table4Row struct {
 
 // Table4 runs every workload in both variants and computes peak reductions
 // (on the RTX 3090 spec; the paper notes reductions are identical across
-// devices) and speedups (on both specs). It runs on the shared engine;
-// see Table4With.
-func Table4() ([]Table4Row, error) {
-	return Table4With(engine.Default())
-}
-
-// Table4With is Table4 on a caller-supplied engine. The peak-reduction
-// profiles and the speedup rows' native runs fan out over the worker pool.
-// Speedups are ratios of simulated cycles, which are deterministic, so the
-// native runs are ordinary cached runs.
-func Table4With(e *engine.Engine) ([]Table4Row, error) {
+// devices) and speedups (on both specs). The peak-reduction profiles and
+// the speedup rows' native runs fan out over e's worker pool. Speedups are
+// ratios of simulated cycles, which are deterministic, so the native runs
+// are ordinary cached runs.
+func Table4(e *engine.Engine) ([]Table4Row, error) {
 	specs := []gpu.DeviceSpec{gpu.SpecRTX3090(), gpu.SpecA100()}
 	ws := workloads.All()
 	variants := []workloads.Variant{workloads.VariantNaive, workloads.VariantOptimized}
@@ -289,17 +279,11 @@ type Table5Row struct {
 }
 
 // Table5 runs DrGPUM and both baseline tools over every naive workload and
-// aggregates which patterns each tool's methodology surfaces. It runs on
-// the shared engine; see Table5With.
-func Table5(spec gpu.DeviceSpec) ([]Table5Row, error) {
-	return Table5With(engine.Default(), spec)
-}
-
-// Table5With is Table5 on a caller-supplied engine. The DrGPUM profiles
-// use exactly the Table 1 tuples, so on a shared engine they are cache
-// hits; only the baseline runs (their own uninstrumented-by-DrGPUM
+// aggregates which patterns each tool's methodology surfaces. The DrGPUM
+// profiles use exactly the Table 1 tuples, so on a shared engine they are
+// cache hits; only the baselines runs (their own uninstrumented-by-DrGPUM
 // devices with full per-access visibility) are new work.
-func Table5With(e *engine.Engine, spec gpu.DeviceSpec) ([]Table5Row, error) {
+func Table5(e *engine.Engine, spec gpu.DeviceSpec) ([]Table5Row, error) {
 	ws := workloads.All()
 	specs := make([]engine.RunSpec, 0, 2*len(ws))
 	for _, w := range ws {
@@ -331,11 +315,11 @@ func Table5With(e *engine.Engine, spec gpu.DeviceSpec) ([]Table5Row, error) {
 		for _, p := range results[i].Report.PatternSet() {
 			drgpum[p] = true
 		}
-		bl := results[len(ws)+i].Baselines
+		bl := results[len(ws)+i]
 		for _, p := range bl.ValueExpert {
 			ve[p] = true
 		}
-		for _, p := range bl.ComputeSanitizer {
+		for _, p := range sanitizerPatterns(bl.Memcheck) {
 			cs[p] = true
 		}
 	}
@@ -350,6 +334,18 @@ func Table5With(e *engine.Engine, spec gpu.DeviceSpec) ([]Table5Row, error) {
 		})
 	}
 	return rows, nil
+}
+
+// sanitizerPatterns maps a memory-safety report onto DrGPUM's patterns
+// through the shared ID vocabulary, in which only a leak has a pattern.
+func sanitizerPatterns(rep *memcheck.Report) []pattern.Pattern {
+	var out []pattern.Pattern
+	for _, is := range rep.Issues {
+		if p, ok := pattern.ParseID(is.Class.ID()); ok && !slices.Contains(out, p) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // RenderTable5 prints the tool-coverage matrix in the paper's layout.

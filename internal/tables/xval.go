@@ -67,17 +67,12 @@ type XValReport struct {
 	Rows []XValRow
 }
 
-// CrossValidate builds the matrix on the shared engine. The dynamic side
-// profiles every registered workload×variant at intra-object granularity
-// (the Table 1 configuration, so a Table 1 sweep in the same process is
-// reused from the profile cache); the static side analyzes the workload
-// package source once per variant assumption.
-func CrossValidate(spec gpu.DeviceSpec) (*XValReport, error) {
-	return CrossValidateWith(engine.Default(), spec)
-}
-
-// CrossValidateWith is CrossValidate on a caller-supplied engine.
-func CrossValidateWith(e *engine.Engine, spec gpu.DeviceSpec) (*XValReport, error) {
+// CrossValidate builds the matrix. The dynamic side profiles every
+// registered workload×variant on e at intra-object granularity (the
+// Table 1 configuration, so a Table 1 sweep on the same engine is reused
+// from the profile cache); the static side analyzes the workload package
+// source once per variant assumption.
+func CrossValidate(e *engine.Engine, spec gpu.DeviceSpec) (*XValReport, error) {
 	pkgs, err := lint.Load("drgpum/internal/workloads")
 	if err != nil {
 		return nil, fmt.Errorf("tables: loading workloads source: %v", err)

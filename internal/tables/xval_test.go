@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
 	"drgpum/internal/workloads"
 )
@@ -15,7 +16,7 @@ import (
 // findings on optimized variants (a static-only hit on clean code is an
 // advisor false positive).
 func TestCrossValidateGate(t *testing.T) {
-	rep, err := CrossValidate(gpu.SpecRTX3090())
+	rep, err := CrossValidate(engine.Default(), gpu.SpecRTX3090())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestCrossValidateGate(t *testing.T) {
 // statically tractable workloads must confirm their lifetime patterns,
 // and the advisor must never report a pattern the profiler misses.
 func TestCrossValidateKnownRows(t *testing.T) {
-	rep, err := CrossValidate(gpu.SpecRTX3090())
+	rep, err := CrossValidate(engine.Default(), gpu.SpecRTX3090())
 	if err != nil {
 		t.Fatal(err)
 	}

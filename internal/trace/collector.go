@@ -43,10 +43,6 @@ type Collector struct {
 	// device hit flags.
 	hostTrace bool
 
-	// DefaultElemSize is the element width assumed for objects the
-	// application does not annotate.
-	DefaultElemSize uint32
-
 	// pending accumulates object touches of the kernel currently executing
 	// in host-trace mode.
 	pendingReads  map[ObjectID]bool
@@ -81,12 +77,11 @@ var _ gpu.Hook = (*Collector)(nil)
 func NewCollector() *Collector {
 	u := callpath.NewUnwinder()
 	return &Collector{
-		unwinder:        u,
-		trace:           &Trace{Unwinder: u},
-		mmap:            NewMemoryMap(),
-		DefaultElemSize: 4,
-		pendingReads:    make(map[ObjectID]bool),
-		pendingWrites:   make(map[ObjectID]bool),
+		unwinder:      u,
+		trace:         &Trace{Unwinder: u},
+		mmap:          NewMemoryMap(),
+		pendingReads:  make(map[ObjectID]bool),
+		pendingWrites: make(map[ObjectID]bool),
 	}
 }
 
@@ -197,7 +192,7 @@ func (c *Collector) OnAPI(rec *gpu.APIRecord) {
 			ID:       ObjectID(len(c.trace.Objects)),
 			Ptr:      rec.Ptr,
 			Size:     rec.Size,
-			ElemSize: c.DefaultElemSize,
+			ElemSize: DefaultElemSize,
 			AllocAPI: rec.Index,
 			FreeAPI:  NoAPI,
 			Pool:     rec.Custom,

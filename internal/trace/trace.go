@@ -24,6 +24,10 @@ type ObjectID uint32
 // of a leaked object).
 const NoAPI = int64(-1)
 
+// DefaultElemSize is the element width in bytes of an object the
+// application does not annotate.
+const DefaultElemSize = 4
+
 // AccessEvent records that one GPU API touched an object. At most one event
 // exists per (object, API) pair; Read and Write flags merge multiple touches.
 type AccessEvent struct {
@@ -48,7 +52,8 @@ type Object struct {
 	// Size is the requested allocation size in bytes.
 	Size uint64
 	// ElemSize is the element width in bytes used by intra-object analysis
-	// bitmaps. Defaults to 4 when the application does not annotate it.
+	// bitmaps: DefaultElemSize unless the application annotates it. Read
+	// it through ElemWidth.
 	ElemSize uint32
 	// Label is the application-facing name (e.g. "d_data_out1"). Empty if
 	// the application did not annotate the allocation; reports then fall
@@ -107,13 +112,19 @@ func (o *Object) LastAccess() *AccessEvent {
 	return &o.Accesses[len(o.Accesses)-1]
 }
 
+// ElemWidth returns ElemSize, or DefaultElemSize when it is 0: a saved
+// profile omits the field when it is 0, and the file is untrusted input.
+func (o *Object) ElemWidth() uint64 {
+	if o.ElemSize == 0 {
+		return DefaultElemSize
+	}
+	return uint64(o.ElemSize)
+}
+
 // Elems returns the number of elements the object holds under its element
 // size (rounding up so a trailing partial element still counts).
 func (o *Object) Elems() int {
-	es := uint64(o.ElemSize)
-	if es == 0 {
-		es = 4
-	}
+	es := o.ElemWidth()
 	return int((o.Size + es - 1) / es)
 }
 
