@@ -3,64 +3,136 @@ package intraobj
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"drgpum/internal/gpu"
 	"drgpum/internal/trace"
 )
 
-// refSummary is an object's summary by the formulas that computed it before
-// summarize, kept as the reference FuzzSummaryMatchesReference checks
-// summarize against: a bitmap count per value, the per-element largest
-// clear run, the NUAF variation over a slice of samples, and a histogram
-// that divides per element to find each element's bucket.
-func refSummary(st *objState) summary {
-	s := summary{
-		accessedPct: refAccessedPct(st.total),
-		fragPct:     refFragmentation(st.total),
-		count:       st.total.Count(),
-		nuaf:        refNUAFVariation(st),
-		savings:     refStructuredSavings(st),
+// refObject is FuzzSummaryMatchesReference's own account of what it
+// delivered to one object, each access clamped to the object's elements
+// as the recorder clamps it: the per-element access counts, each touching
+// API's total in API order, the structured-access verdict, and the API
+// with the largest total. It reads none of the recorder's maps, so the
+// oracle checks how the recorder ingests accesses as well as how it
+// reduces them.
+type refObject struct {
+	obj       *trace.Object
+	seen      bool     // some access was attributed to the object
+	freq      []uint64 // per element
+	slices    []uint64 // per touching API, its access total
+	overlap   bool     // an API touched an element an earlier API had
+	nonContig bool     // an API's touched elements had a gap
+	hotKernel string   // the earliest API with the largest total
+	hotTotal  uint64
+	hotAPI    uint64
+}
+
+// deliver accounts for the accesses of batch, API api's, that carry the
+// object's tag.
+func (m *refObject) deliver(api *gpu.APIRecord, batch []gpu.MemAccess) {
+	es := m.obj.ElemWidth()
+	cnt := make([]uint64, len(m.freq))
+	for _, a := range batch {
+		if a.Tag != trace.ObjectTag(m.obj.ID) || a.Size == 0 {
+			continue
+		}
+		m.seen = true
+		off := uint64(a.Addr - m.obj.Ptr)
+		for i := int(off / es); i <= min(int((off+uint64(a.Size)-1)/es), len(cnt)-1); i++ {
+			cnt[i]++
+		}
 	}
-	for i, f := range st.totalFreq {
-		b := i * histBuckets / st.elems
+	first, last, n := -1, -1, 0
+	var total uint64
+	for i, c := range cnt {
+		if c == 0 {
+			continue
+		}
+		if m.freq[i] != 0 {
+			m.overlap = true
+		}
+		if first < 0 {
+			first = i
+		}
+		last = i
+		n++
+		m.freq[i] += c
+		total += c
+	}
+	if n == 0 {
+		return
+	}
+	if n != last-first+1 {
+		m.nonContig = true
+	}
+	m.slices = append(m.slices, total)
+	if total > m.hotTotal {
+		m.hotKernel, m.hotTotal, m.hotAPI = api.Name, total, api.Index
+	}
+}
+
+// structured is Definition 3.10 over the model.
+func (m *refObject) structured() bool {
+	return len(m.slices) >= 2 && !m.overlap && !m.nonContig
+}
+
+// refSummary is the object's summary by the formulas that computed it
+// before summarize, over the model's counts: a count of the accessed
+// elements, the per-element largest clear run, the NUAF variation over a
+// slice of samples, and a histogram that divides per element to find
+// each element's bucket.
+func refSummary(m *refObject) summary {
+	accessed := make([]bool, len(m.freq))
+	count := 0
+	for i, f := range m.freq {
+		if accessed[i] = f != 0; accessed[i] {
+			count++
+		}
+	}
+	s := summary{
+		accessedPct: refAccessedPct(count, len(m.freq)),
+		fragPct:     refFragmentation(accessed, count),
+		count:       count,
+		nuaf:        refNUAFVariation(m),
+		savings:     refStructuredSavings(m, count),
+	}
+	for i, f := range m.freq {
+		b := i * histBuckets / len(m.freq)
 		if b >= histBuckets {
 			b = histBuckets - 1
 		}
-		s.hist[b] += uint64(f)
+		s.hist[b] += f
 	}
 	return s
 }
 
-func refAccessedPct(b *Bitmap) float64 {
-	if b.n == 0 {
+func refAccessedPct(count, elems int) float64 {
+	if elems == 0 {
 		return 100
 	}
-	return float64(b.Count()) / float64(b.n) * 100
+	return float64(count) / float64(elems) * 100
 }
 
-// refFragmentation is Equation 1 over the per-element model of the bitmap.
-func refFragmentation(b *Bitmap) float64 {
-	unaccessed := b.n - b.Count()
+// refFragmentation is Equation 1 over the per-element accessed flags.
+func refFragmentation(accessed []bool, count int) float64 {
+	unaccessed := len(accessed) - count
 	if unaccessed == 0 {
 		return 0
 	}
-	elems := make([]bool, b.n)
-	for i := range elems {
-		elems[i] = b.Get(i)
-	}
-	return (1 - float64(refLargestZeroRun(elems))/float64(unaccessed)) * 100
+	return (1 - float64(refLargestZeroRun(accessed))/float64(unaccessed)) * 100
 }
 
-func refNUAFVariation(st *objState) float64 {
+func refNUAFVariation(m *refObject) float64 {
 	var samples []float64
-	if st.structured() {
-		samples = make([]float64, 0, len(st.sliceTotals))
-		for _, t := range st.sliceTotals {
+	if m.structured() {
+		samples = make([]float64, 0, len(m.slices))
+		for _, t := range m.slices {
 			samples = append(samples, float64(t))
 		}
 	} else {
-		for _, f := range st.totalFreq {
+		for _, f := range m.freq {
 			if f > 0 {
 				samples = append(samples, float64(f))
 			}
@@ -100,20 +172,35 @@ func refCoefficientOfVariation(samples []float64) float64 {
 	return std / mean * 100
 }
 
-func refStructuredSavings(st *objState) uint64 {
-	covered := st.total.Count()
-	if covered == 0 || st.apiTouches == 0 {
+func refStructuredSavings(m *refObject, covered int) uint64 {
+	if covered == 0 || len(m.slices) == 0 {
 		return 0
 	}
-	es := uint64(st.obj.ElemSize)
+	es := uint64(m.obj.ElemSize)
 	if es == 0 {
 		es = 4
 	}
-	meanSlice := uint64(covered/st.apiTouches) * es
-	if meanSlice >= st.obj.Size {
+	meanSlice := uint64(covered/len(m.slices)) * es
+	if meanSlice >= m.obj.Size {
 		return 0
 	}
-	return st.obj.Size - meanSlice
+	return m.obj.Size - meanSlice
+}
+
+// checkIngest fails t unless the recorder's per-API totals, structured-
+// access verdict and hot kernel of a live object equal the model's.
+func checkIngest(t *testing.T, id int, st *objState, m *refObject) {
+	t.Helper()
+	if !slices.Equal(st.sliceTotals, m.slices) {
+		t.Fatalf("object %d: sliceTotals %v, reference %v", id, st.sliceTotals, m.slices)
+	}
+	if st.structured() != m.structured() {
+		t.Fatalf("object %d: structured() = %v, reference %v", id, st.structured(), m.structured())
+	}
+	if st.hotKernel != m.hotKernel || st.hotKernelTotal != m.hotTotal || st.lastAPI != m.hotAPI {
+		t.Fatalf("object %d: hot kernel %q total %d at API %d, reference %q total %d at API %d",
+			id, st.hotKernel, st.hotKernelTotal, st.lastAPI, m.hotKernel, m.hotTotal, m.hotAPI)
+	}
 }
 
 // checkSummary fails t unless got equals want field by field, floats bit
@@ -164,10 +251,13 @@ var fuzzElemSizes = [...]uint32{1, 4, 8, 12}
 
 // FuzzSummaryMatchesReference decodes objects of 1-300 elements and a few
 // kernels of pointwise, ranged, strided and slice-shaped accesses to them,
-// delivers the kernels to a recorder, and checks every object's summary
-// against refSummary: computed from the live maps, stored by Seal between
-// kernels or after the last, and read back through Detect,
-// FrequencyHistogram and AccessedPctOf.
+// delivers the kernels to a recorder and to a refObject per object, and
+// checks every object against its model: the per-API totals, the
+// structured-access verdict and the hot kernel of the live state, and the
+// summary, computed from the live maps, stored by Seal between kernels or
+// after the last, and read back through Detect, FrequencyHistogram and
+// AccessedPctOf. Sealing an object between kernels hands its maps to a
+// later object's first touch when they fit.
 //
 // Input layout: flags (bit 0 host-side map updates, bit 1 seal an object
 // after each kernel), the object count, per object two bytes of element
@@ -185,6 +275,7 @@ func FuzzSummaryMatchesReference(f *testing.F) {
 		rec := NewRecorder(capacity)
 
 		objs := make([]*trace.Object, 1+r.next()%4)
+		model := make([]*refObject, len(objs))
 		for i := range objs {
 			elems := 1 + (r.next()<<8|r.next())%300
 			es := fuzzElemSizes[r.next()%len(fuzzElemSizes)]
@@ -194,18 +285,23 @@ func FuzzSummaryMatchesReference(f *testing.F) {
 				Size:     uint64(elems) * uint64(es),
 				ElemSize: es,
 			}
+			model[i] = &refObject{obj: objs[i], freq: make([]uint64, elems)}
 		}
 
-		// seal checks object id's live summary, seals it, and checks the
-		// stored one, both against the reference.
+		// seal checks object id's live state and summary, seals it, and
+		// checks the stored summary, all against the object's model.
 		sealed := make([]bool, len(objs))
 		seal := func(id int) {
 			st := rec.state(id)
+			if (st != nil) != model[id].seen {
+				t.Fatalf("object %d: state %v, reference saw accesses %v", id, st != nil, model[id].seen)
+			}
 			if st == nil || sealed[id] {
 				return
 			}
 			rec.Flush()
-			want := refSummary(st)
+			checkIngest(t, id, st, model[id])
+			want := refSummary(model[id])
 			checkSummary(t, "live", st.summarize(), want)
 			checkHistogram(t, "live", rec.FrequencyHistogram(id), want)
 			rec.Seal(id)
@@ -227,6 +323,9 @@ func FuzzSummaryMatchesReference(f *testing.F) {
 				}
 			}
 			rec.ObjectAccessBatch(api, batch, objs)
+			for _, m := range model {
+				m.deliver(api, batch)
+			}
 			if flags&2 != 0 {
 				seal(r.next() % len(objs))
 			}
