@@ -73,17 +73,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *list {
-		for _, name := range workloads.Names() {
-			fmt.Println(name)
-		}
-		for _, x := range workloads.Extras() {
-			fmt.Println(x.Name)
-		}
-		return
-	}
 	path := "a workload run"
 	switch {
+	case *list:
+		path = "-list"
 	case *loadPath != "" && *baseline != "":
 		path = "-load with -baseline"
 	case *loadPath != "":
@@ -96,6 +89,15 @@ func main() {
 			log.Fatalf("-%s does not apply to %s", f.Name, path)
 		}
 	})
+	if *list {
+		for _, name := range workloads.Names() {
+			fmt.Println(name)
+		}
+		for _, x := range workloads.Extras() {
+			fmt.Println(x.Name)
+		}
+		return
+	}
 	if *loadPath != "" {
 		cfg := core.DefaultConfig()
 		cfg.ObjLevel.IdlenessThreshold = *ti
@@ -156,6 +158,7 @@ var pathFlags = map[string]string{
 	"-diff":                "diff workload device mode sampling stream window pipelined memcheck",
 	"-load":                "load ti ra-tolerance peaks json verbose timeline gui html save",
 	"-load with -baseline": "load baseline ti ra-tolerance peaks",
+	"-list":                "list",
 }
 
 // outputs selects what output prints and which files it writes.

@@ -182,8 +182,8 @@ func TestDrgpumRunFlagErrors(t *testing.T) {
 }
 
 // TestDrgpumFlagPaths pins that each of drgpum's paths — a workload run,
-// -diff, -load, and -load with -baseline — rejects a flag it would not
-// read, with exit status 1 and a message naming the flag and the path,
+// -diff, -load, -load with -baseline, and -list — rejects a flag it would
+// not read, with exit status 1 and a message naming the flag and the path,
 // instead of dropping the setting and exiting 0.
 func TestDrgpumFlagPaths(t *testing.T) {
 	dir := t.TempDir()
@@ -205,6 +205,7 @@ func TestDrgpumFlagPaths(t *testing.T) {
 		{"load/stats", []string{"-load", prof, "-stats"}, "drgpum: -stats does not apply to -load"},
 		{"load/workload", []string{"-load", prof, "-workload", "simplemulticopy"}, "drgpum: -workload does not apply to -load"},
 		{"baseline/json", []string{"-load", prof, "-baseline", prof, "-json"}, "drgpum: -json does not apply to -load with -baseline"},
+		{"list/workload", []string{"-list", "-workload", "nonesuch"}, "drgpum: -workload does not apply to -list"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			out, err := command(t, "drgpum", c.args...).CombinedOutput()

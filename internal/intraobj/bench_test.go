@@ -214,6 +214,55 @@ func BenchmarkSummarize(b *testing.B) {
 	}
 }
 
+// streamObjects returns the objects of a streamed training loop of n
+// epochs: object 0, the weights, persists, and object k+1 is epoch k's
+// activation. All are u32 objects; the weights and the first activation
+// have elems elements, and the later activations vary in size between
+// half that and elems.
+func streamObjects(n, elems int) []*trace.Object {
+	objs := make([]*trace.Object, n+1)
+	var next gpu.DevicePtr = 0x1000_0000
+	for i := range objs {
+		size := elems
+		if i > 1 {
+			size -= (i * 997) % (elems / 2)
+		}
+		objs[i] = &trace.Object{ID: trace.ObjectID(i), Ptr: next, Size: uint64(size) * 4, ElemSize: 4}
+		next += gpu.DevicePtr(size * 4)
+	}
+	return objs
+}
+
+// streamEpoch runs epoch k of the loop over objs as a streamed run does:
+// one kernel reads the weights and the epoch's activation whole, then the
+// activation is freed and its state sealed. rec and batch are reused
+// across epochs.
+func streamEpoch(r *Recorder, objs []*trace.Object, rec *gpu.APIRecord, batch []gpu.MemAccess, k int) {
+	rec.Index = uint64(k)
+	for i, o := range []*trace.Object{objs[0], objs[k+1]} {
+		batch[i] = gpu.MemAccess{Addr: o.Ptr, Size: uint32(o.Size), Space: gpu.SpaceGlobal, Tag: trace.ObjectTag(o.ID)}
+	}
+	r.ObjectAccessBatch(rec, batch, objs)
+	r.Seal(k + 1)
+}
+
+// BenchmarkSealReuse measures one epoch of a streamed training loop with
+// activations of up to 64K u32 elements: ingesting its kernel, and
+// sealing its activation, which hands the activation's maps to the next
+// epoch's. Its allocations per op are the per-object bookkeeping, not the
+// per-element maps.
+func BenchmarkSealReuse(b *testing.B) {
+	objs := streamObjects(b.N, 64<<10)
+	r := NewRecorder(0)
+	rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
+	batch := make([]gpu.MemAccess, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		streamEpoch(r, objs, rec, batch, k)
+	}
+}
+
 // stridedKernels returns four kernels that each read every stride-th
 // element of an object; the first also reads the first half of those
 // elements once more.

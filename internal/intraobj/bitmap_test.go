@@ -105,7 +105,7 @@ func TestBitmapLargestZeroRun(t *testing.T) {
 
 // bitmapSummary summarizes an object whose cumulative bitmap is b.
 func bitmapSummary(b *Bitmap) summary {
-	st := &objState{elems: b.Len(), total: b, totalFreq: make([]uint32, b.Len())}
+	st := &objState{elems: b.Len(), total: b, freqDiff: make([]uint32, b.Len()+1)}
 	return st.summarize()
 }
 

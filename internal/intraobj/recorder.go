@@ -54,22 +54,29 @@ type objState struct {
 	// cumulative access bitmap across all instrumented kernels — drives
 	// overallocation and the structured-access "claimed" check.
 	total *Bitmap
-	// cumulative per-element access frequencies across all kernels — used
-	// for the aggregate histogram shown in reports.
-	totalFreq []uint32
+	// freqDiff holds the cumulative per-element access frequencies across
+	// all kernels, which the reports' histograms and the NUAF variation
+	// read, as a difference array of elems+1 slots: an access covering
+	// [lo, hi] costs two updates (freqDiff[lo]++, freqDiff[hi+1]--)
+	// regardless of width, the last slot holds the -1 marker of a range
+	// ending at the last element, and element i's frequency is the prefix
+	// sum of slots 0..i, which summarize takes in its index-order passes.
+	// uint32 wraparound makes the -1 markers cancel. True frequencies must
+	// fit in uint32, the bound a dense uint32 map has; within it the prefix
+	// sums are exact, and curTotal, a sum of access widths, equals the sum
+	// of the API's per-element counts.
+	freqDiff []uint32
 
 	// current-API state (paper §5.2, non-uniform access frequency
-	// procedure). Per-element frequencies are kept as a difference array:
-	// an access covering [lo, hi] costs two updates (curDiff[lo]++,
-	// curDiff[hi+1]--) regardless of width, and finalization prefix-sums
-	// the touched window to recover exact counts. uint32 wraparound makes
-	// the -1 markers cancel; true frequencies must fit in uint32, the same
-	// bound the dense map had. curLo/curHi bound the touched elements so
-	// finalization and map wiping scale with the window, not the object.
-	curDiff    []uint32
+	// procedure). curTouched marks the elements the API touched and
+	// curLo/curHi bound them, so finalization wipes only that window of
+	// the bitmap; the structured-access checks (Overlaps, Contiguous, Or)
+	// still scan its words whole. curTotal sums the widths of the API's
+	// clamped accesses: its access total.
 	curTouched *Bitmap
 	curLo      int
 	curHi      int
+	curTotal   uint64
 	curAPI     uint64
 	curKernel  string
 	curActive  bool
@@ -96,8 +103,8 @@ type objState struct {
 	apiTouches  int
 
 	// sealed is the object's summary once the streaming window manager
-	// freezes a freed object (Seal), which releases the O(elements) maps
-	// above.
+	// freezes a freed object (Seal), which hands the O(elements) maps
+	// above to the recorder's spare.
 	sealed *summary
 }
 
@@ -132,6 +139,14 @@ type Recorder struct {
 	// all tracked objects (what mapBytes re-summed before every kernel).
 	mapBytesTotal uint64
 
+	// spare holds the maps of one sealed object for the next object's
+	// first touch (paper §5.2: DrGPUM zeros out its maps at each API
+	// rather than allocating them). Seal keeps the larger of its object's
+	// maps and the spare's, and drops the spare once no tracked object is
+	// left unsealed: unsealed counts them.
+	spare    spareMaps
+	unsealed int
+
 	curAPI    uint64
 	curMode   MapMode
 	haveAPI   bool
@@ -151,6 +166,15 @@ type Recorder struct {
 }
 
 var _ trace.AccessSink = (*Recorder)(nil)
+
+// spareMaps is one sealed object's per-element arrays at full capacity:
+// its frequency difference array and its cumulative and per-API bitmaps.
+// freqDiff was made at elems+1 slots and the bitmaps at elems bits, so an
+// object whose elems+1 slots fit in cap(freqDiff) fits in both bitmaps.
+type spareMaps struct {
+	freqDiff       []uint32
+	total, touched *Bitmap
+}
 
 // NewRecorder creates a recorder with the given device memory capacity used
 // for the adaptive mode decision. A zero capacity always selects device
@@ -264,7 +288,7 @@ func (r *Recorder) activate(o *trace.Object, rec *gpu.APIRecord) *objState {
 	}
 	st := r.states[o.ID]
 	if st == nil {
-		st = newObjState(o)
+		st = r.newObjState(o)
 		r.states[o.ID] = st
 		r.order = append(r.order, o.ID)
 		r.mapBytesTotal += uint64(st.elems)/8 + uint64(st.elems)*4
@@ -285,29 +309,43 @@ func (r *Recorder) state(id int) *objState {
 	return nil
 }
 
-func newObjState(o *trace.Object) *objState {
+// newObjState creates object o's state at its first touch, with its maps
+// taken from the spare when they fit: the spare's frequency array and
+// cumulative bitmap are cleared over the slots the object uses, and its
+// per-API bitmap is clean, since finalization wipes what each API set.
+func (r *Recorder) newObjState(o *trace.Object) *objState {
 	elems := o.Elems()
-	return &objState{
-		obj:       o,
-		elems:     elems,
-		total:     NewBitmap(elems),
-		totalFreq: make([]uint32, elems),
+	st := &objState{obj: o, elems: elems}
+	if sp := r.spare; cap(sp.freqDiff) >= elems+1 {
+		st.freqDiff = sp.freqDiff[:elems+1]
+		clear(st.freqDiff)
+		st.total = sp.total.resize(elems)
+		clear(st.total.words)
+		st.curTouched = sp.touched.resize(elems)
+		r.spare = spareMaps{}
+	} else {
+		st.freqDiff = make([]uint32, elems+1)
+		st.total = NewBitmap(elems)
+		st.curTouched = NewBitmap(elems)
 	}
+	r.unsealed++
+	return st
+}
+
+// resize reslices b's words to cover n elements, within their capacity.
+func (b *Bitmap) resize(n int) *Bitmap {
+	b.words, b.n = b.words[:(n+63)/64], n
+	return b
 }
 
 // beginAPI opens the object's per-API maps (paper: "upon the invocation of
 // a GPU API A, DrGPUM zeros out hashmaps of data objects this GPU API will
-// access"). The maps are wiped window-at-a-time by finalizeAPI, so an
-// object whose maps were never touched since the last reset pays nothing
-// here — only the lazily-allocated buffers are created on first use.
+// access"). finalizeAPI wipes the touched bitmap window-at-a-time and the
+// frequency updates accumulate in place, so opening costs nothing per
+// element.
 func (st *objState) beginAPI(api uint64, kernel string) {
-	if st.curDiff == nil {
-		// One extra slot holds the -1 marker of a range ending at the last
-		// element.
-		st.curDiff = make([]uint32, st.elems+1)
-		st.curTouched = NewBitmap(st.elems)
-	}
 	st.curLo, st.curHi = st.elems, -1
+	st.curTotal = 0
 	st.base = st.obj.Ptr
 	st.es = st.obj.ElemWidth()
 	st.shift = -1
@@ -320,17 +358,18 @@ func (st *objState) beginAPI(api uint64, kernel string) {
 	st.spill = st.spill[:0]
 }
 
-// update applies one access covering elements [lo, hi] to the current maps:
-// two difference-array stores and one word-level bitmap range set,
-// independent of the access width. Single-element accesses (the pointwise
-// kernel shape) skip the range machinery entirely.
+// update applies one access covering elements [lo, hi] to the maps: two
+// difference-array stores, one add to the API's total and one word-level
+// bitmap range set, independent of the access width. Single-element
+// accesses (the pointwise kernel shape) skip the range machinery entirely.
 func (st *objState) update(lo, hi int) {
 	if lo == hi {
 		if uint(lo) >= uint(st.elems) {
 			return
 		}
-		st.curDiff[lo]++
-		st.curDiff[lo+1]--
+		st.freqDiff[lo]++
+		st.freqDiff[lo+1]--
+		st.curTotal++
 		st.curTouched.words[lo>>6] |= 1 << (uint(lo) & 63)
 		if lo < st.curLo {
 			st.curLo = lo
@@ -349,8 +388,9 @@ func (st *objState) update(lo, hi int) {
 	if lo > hi {
 		return
 	}
-	st.curDiff[lo]++
-	st.curDiff[hi+1]--
+	st.freqDiff[lo]++
+	st.freqDiff[hi+1]--
+	st.curTotal += uint64(hi - lo + 1)
 	st.curTouched.SetRange(lo, hi)
 	if lo < st.curLo {
 		st.curLo = lo
@@ -380,11 +420,11 @@ func (st *objState) addSpill(lo, hi int) {
 }
 
 // finalizeAPI closes out the per-API maps of every object the finished
-// kernel touched: replay host-mode spills, evaluate the per-API totals, run
-// the structured-access disjointness check, fold the per-API maps into the
-// cumulative ones, and wipe the touched window so the next beginAPI starts
-// from clean maps. Only the active set — objects this API actually touched
-// — is visited.
+// kernel touched: replay host-mode spills, record the per-API totals, run
+// the structured-access disjointness check, fold the touched bitmap into
+// the cumulative one, and wipe the touched window so the next beginAPI
+// starts from a clean bitmap. Only the active set — objects this API
+// actually touched — is visited.
 func (r *Recorder) finalizeAPI() {
 	if !r.haveAPI {
 		return
@@ -408,20 +448,8 @@ func (st *objState) finalizeObj() (spills, words uint64) {
 	}
 	st.spill = st.spill[:0]
 
-	var apiTotal uint64
 	if st.curHi >= st.curLo {
 		words = uint64(st.curHi>>6-st.curLo>>6) + 1
-		// Prefix-sum the difference array over the touched window to
-		// recover exact per-element frequencies (holes inside the
-		// window sum to zero), folding into the cumulative map as we
-		// go.
-		var cur uint32
-		for i := st.curLo; i <= st.curHi; i++ {
-			cur += st.curDiff[i]
-			st.totalFreq[i] += cur
-			apiTotal += uint64(cur)
-		}
-
 		// Structured access: this API's slice must not overlap any
 		// element already claimed by a previous API.
 		if st.curTouched.Overlaps(st.total) {
@@ -431,17 +459,16 @@ func (st *objState) finalizeObj() (spills, words uint64) {
 			st.saNonContig = true
 		}
 		st.apiTouches++
-		st.sliceTotals = append(st.sliceTotals, apiTotal)
+		st.sliceTotals = append(st.sliceTotals, st.curTotal)
 
 		st.total.Or(st.curTouched)
 
 		// Clean-on-finalize: wipe only the touched window so beginAPI
 		// needs no O(elements) zeroing.
-		clear(st.curDiff[st.curLo : st.curHi+2])
 		st.curTouched.ResetRange(st.curLo, st.curHi)
 	}
-	if apiTotal > st.hotKernelTotal {
-		st.hotKernelTotal = apiTotal
+	if st.curTotal > st.hotKernelTotal {
+		st.hotKernelTotal = st.curTotal
 		st.hotKernel = st.curKernel
 		st.lastAPI = st.curAPI
 	}

@@ -2,6 +2,7 @@ package intraobj
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -310,6 +311,40 @@ func TestFrequencyHistogram(t *testing.T) {
 	}
 	if _, ok := r.AccessedPctOf(99); ok {
 		t.Error("AccessedPctOf resolved an unknown object")
+	}
+}
+
+// TestSealReusesMaps runs a streamed training loop: a sealed activation's
+// maps serve the next activation, which is never larger than the first,
+// so after warm-up an epoch allocates less than one activation's
+// frequency array; and sealing the weights, the last open object, drops
+// the spare.
+func TestSealReusesMaps(t *testing.T) {
+	const elems, warm, epochs = 4096, 4, 64
+	objs := streamObjects(warm+epochs, elems)
+	r := NewRecorder(0)
+	rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
+	batch := make([]gpu.MemAccess, 2)
+	for k := 0; k < warm; k++ {
+		streamEpoch(r, objs, rec, batch, k)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := warm; k < warm+epochs; k++ {
+		streamEpoch(r, objs, rec, batch, k)
+	}
+	runtime.ReadMemStats(&after)
+	// The smallest activation has elems/2+1 elements.
+	freqBytes := uint64(4 * (elems/2 + 2))
+	if perEpoch := (after.TotalAlloc - before.TotalAlloc) / epochs; perEpoch >= freqBytes {
+		t.Errorf("an epoch allocated %d bytes, no less than a %d-byte frequency array", perEpoch, freqBytes)
+	}
+	if r.spare.freqDiff == nil {
+		t.Error("no spare while the weights are open")
+	}
+	r.Seal(0)
+	if r.unsealed != 0 || r.spare.freqDiff != nil || r.spare.total != nil || r.spare.touched != nil {
+		t.Errorf("after the last seal: %d unsealed, spare %d slots", r.unsealed, cap(r.spare.freqDiff))
 	}
 }
 

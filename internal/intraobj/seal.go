@@ -22,10 +22,11 @@ type summary struct {
 
 // summarize reduces the object's live maps to its summary without
 // allocating: one count of the bitmap (plus its longest clear run when some
-// element is unaccessed), one pass over the frequency map for the histogram
-// and the nonzero frequencies' count and sum, and one more over the samples
-// for their squared deviations. Sums run in index order, so every float
-// equals the one the sample-slice formulas of §3.2 compute.
+// element is unaccessed), one prefix-sum pass over the frequency difference
+// array for the histogram and the nonzero frequencies' count and sum, and
+// one more over the samples for their squared deviations. Sums run in
+// index order, so every float equals the one the sample-slice formulas of
+// §3.2 compute.
 func (st *objState) summarize() summary {
 	var s summary
 	s.count = st.total.Count()
@@ -51,12 +52,13 @@ func (st *objState) summarize() summary {
 	// ceil(b*elems/histBuckets) up to the next bucket's bound.
 	var samples int
 	var sum float64
+	var f uint32 // the running prefix sum: the current element's frequency
 	lo := 0
 	for b := range s.hist {
 		hi := ((b+1)*st.elems + histBuckets - 1) / histBuckets
 		var t uint64
-		for _, f := range st.totalFreq[lo:hi] {
-			if f != 0 {
+		for _, delta := range st.freqDiff[lo:hi] {
+			if f += delta; f != 0 {
 				t += uint64(f)
 				samples++
 				sum += float64(f)
@@ -83,8 +85,9 @@ func (st *objState) summarize() summary {
 		}
 	} else if samples >= 2 {
 		mean = sum / float64(samples)
-		for _, f := range st.totalFreq {
-			if f != 0 {
+		f = 0
+		for _, delta := range st.freqDiff[:st.elems] {
+			if f += delta; f != 0 {
 				d := float64(f) - mean
 				ss += d * d
 			}
@@ -107,19 +110,21 @@ func (st *objState) summary(buf *summary) *summary {
 }
 
 // Seal finalizes the in-flight API and freezes the intra-object state of
-// object id into its summary, releasing its bitmaps, frequency maps and
-// per-API buffers. The streaming window manager calls this when the object
-// is freed: no further access can attribute to it (the collector delisted
-// its range), so every input to the summary is final, and Detect,
-// FrequencyHistogram and AccessedPctOf read the stored summary instead of
-// the maps.
+// object id into its summary, releasing its per-API buffers and handing its
+// bitmaps and frequency array to the recorder's spare, which keeps the
+// larger of them and the spare's own until a later object's first touch
+// takes it, and keeps nothing once every tracked object is sealed. The
+// streaming window manager calls this when the object is freed: no further
+// access can attribute to it (the collector delisted its range), so every
+// input to the summary is final, and Detect, FrequencyHistogram and
+// AccessedPctOf read the stored summary instead of the maps.
 //
 // Finalizing the in-flight API early is equivalent to the offline schedule:
-// a free's OnAPI arrives after the accessed kernel's OnAPI, so the folded
-// maps are exactly what the next API's first access (or Flush) would fold,
-// and the next kernel's mode decision sees identical inputs — mapBytesTotal
-// is deliberately NOT decremented, matching the offline recorder, which
-// never shrinks its map-footprint estimate.
+// a free's OnAPI arrives after the accessed kernel's OnAPI, so the closed
+// API's totals and bitmaps are exactly what the next API's first access (or
+// Flush) would record, and the next kernel's mode decision sees identical
+// inputs — mapBytesTotal is deliberately NOT decremented, matching the
+// offline recorder, which never shrinks its map-footprint estimate.
 func (r *Recorder) Seal(id int) {
 	st := r.state(id)
 	if st == nil || st.sealed != nil {
@@ -128,9 +133,13 @@ func (r *Recorder) Seal(id int) {
 	r.finalizeAPI()
 	s := st.summarize()
 	st.sealed = &s
+	if r.unsealed--; r.unsealed == 0 {
+		r.spare = spareMaps{}
+	} else if cap(st.freqDiff) > cap(r.spare.freqDiff) {
+		r.spare = spareMaps{st.freqDiff, st.total, st.curTouched}
+	}
 	st.total = nil
-	st.totalFreq = nil
-	st.curDiff = nil
+	st.freqDiff = nil
 	st.curTouched = nil
 	st.spill = nil
 	st.sliceTotals = nil
