@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"drgpum/internal/advisor"
 	"drgpum/internal/costmodel"
@@ -235,6 +237,7 @@ func (r *Report) Render(w io.Writer, verbose bool) {
 		fmt.Fprintf(w, "  cost model: advice ranked by modeled cycles; fixes recover an estimated %d cycle(s)\n", saved)
 	}
 	fmt.Fprintf(w, "  findings: %d\n", len(r.Findings))
+	var line []byte // each finding's suggestion line in turn
 	for i := range r.Findings {
 		f := &r.Findings[i]
 		o := r.Trace.Object(f.Object)
@@ -266,7 +269,10 @@ func (r *Report) Render(w io.Writer, verbose bool) {
 			fmt.Fprintf(w, "      modeled traffic cost: %d cycle(s); fixing saves ~%d cycle(s)\n",
 				f.ModeledCycles, f.CyclesSaved)
 		}
-		fmt.Fprintf(w, "      suggestion: %s\n", wrap(f.Suggestion, 72, "                  "))
+		line = appendSuggestion(line[:0], f.Suggestion)
+		// Like every Fprintf here, a failed write is the writer's to
+		// report.
+		_, _ = w.Write(line)
 		if verbose {
 			fmt.Fprintf(w, "      allocated at:\n%s\n",
 				indent(r.Trace.Unwinder.FormatTrimmed(o.AllocPath, "drgpum/internal/gpu.", "drgpum/internal/trace.", "drgpum/internal/core."), "        "))
@@ -288,29 +294,61 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// wrap soft-wraps s at the given width, prefixing continuation lines.
-func wrap(s string, width int, contPrefix string) string {
-	words := strings.Fields(s)
-	if len(words) == 0 {
-		return s
+// appendSuggestion appends a finding's suggestion line of the text
+// report to dst: the label, the suggestion soft-wrapped at 72 bytes
+// under a hanging indent, and a newline.
+func appendSuggestion(dst []byte, suggestion string) []byte {
+	dst = append(dst, "      suggestion: "...)
+	dst = appendWrapped(dst, suggestion, 72, "                  ")
+	return append(dst, '\n')
+}
+
+// appendWrapped appends s to dst soft-wrapped at width bytes: its
+// words, split as strings.Fields splits them, joined by single spaces,
+// with a newline and contPrefix in place of the space before a word that
+// would run past width. An s with no words is appended as is.
+func appendWrapped(dst []byte, s string, width int, contPrefix string) []byte {
+	start, end := nextField(s, 0)
+	if start == end {
+		return append(dst, s...)
 	}
-	var b strings.Builder
-	line := 0
-	for i, wd := range words {
-		if i > 0 {
-			if line+1+len(wd) > width {
-				b.WriteString("\n")
-				b.WriteString(contPrefix)
-				line = 0
-			} else {
-				b.WriteByte(' ')
-				line++
-			}
+	dst = append(dst, s[start:end]...)
+	n := end - start // bytes on the current line
+	for start, end = nextField(s, end); start < end; start, end = nextField(s, end) {
+		if n+1+end-start > width {
+			dst = append(dst, '\n')
+			dst = append(dst, contPrefix...)
+			n = 0
+		} else {
+			dst = append(dst, ' ')
+			n++
 		}
-		b.WriteString(wd)
-		line += len(wd)
+		dst = append(dst, s[start:end]...)
+		n += end - start
 	}
-	return b.String()
+	return dst
+}
+
+// nextField returns the bounds of the first word of s at or after byte
+// i, where words are the runs of non-space runes (unicode.IsSpace) that
+// strings.Fields returns. start == end == len(s) when no word is left.
+func nextField(s string, i int) (start, end int) {
+	for i < len(s) {
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += n
+	}
+	start = i
+	for i < len(s) {
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		i += n
+	}
+	return start, i
 }
 
 // indent prefixes every line of s.

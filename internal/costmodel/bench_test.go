@@ -6,7 +6,10 @@ import "testing"
 // on the RTX 3090 geometry for each stride class of 4-byte accesses:
 // unit (consecutive), strided (one per 128-byte line, 512 KiB, past the
 // L2), irregular (a fixed scatter over 1 MiB) and broadcast (one
-// address). ns/op is ns per access.
+// address), and two shapes of the programs at the sweep's median: table
+// (a fixed scatter over a 1 KiB table, huffman's codebook lookups) and
+// column (a column walk of a 48×48 float32 matrix that wraps to the next
+// column, the B operand of 2mm and 3mm). ns/op is ns per access.
 func BenchmarkTrackerAccess(b *testing.B) {
 	spec := SpecFor("NVIDIA GeForce RTX 3090 (sim)", 400, 24, 90_000, 40_000)
 	const n = 1 << 12
@@ -18,6 +21,8 @@ func BenchmarkTrackerAccess(b *testing.B) {
 		{"strided", func(i uint64) uint64 { return i * 128 }},
 		{"irregular", func(i uint64) uint64 { return (i*6364136223846793005 + 1442695040888963407) >> 44 &^ 3 }},
 		{"broadcast", func(uint64) uint64 { return 64 }},
+		{"table", func(i uint64) uint64 { return (i*6364136223846793005 + 1442695040888963407) >> 54 &^ 3 }},
+		{"column", func(i uint64) uint64 { return (i%48*48 + i/48%48) * 4 }},
 	} {
 		addrs := make([]uint64, n)
 		for i := range addrs {

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -225,7 +226,8 @@ const (
 //
 //	op:     bits 0-1 the shape (unit, strided, irregular, broadcast),
 //	        bit 2 interleaves the run round-robin across every entry,
-//	        bits 4-7 pick the starting entry;
+//	        bit 3 folds the run's offsets into the entry's first 1 KiB,
+//	        a lookup table, bits 4-7 pick the starting entry;
 //	count:  count+1 accesses, so a run spans up to eight warp groups;
 //	size:   size%41 bytes, so accesses may be empty, misaligned, or cross
 //	        one or two sector boundaries;
@@ -240,7 +242,7 @@ func decodeLaunch(r *byteReader) (entries int, accs []fuzzAccess) {
 	runs := 1 + r.next()%6
 	for ; runs > 0; runs-- {
 		op, count, size, param := r.next(), 1+r.next(), uint32(r.next()%41), r.next()
-		shape, interleave, entry := op&3, op&4 != 0, (op>>4)%entries
+		shape, interleave, table, entry := op&3, op&4 != 0, op&8 != 0, (op>>4)%entries
 		off := uint64(param)
 		stride := 8 * (1 + uint64(param))
 		x := uint64(param)*2654435761 + 1
@@ -260,6 +262,9 @@ func decodeLaunch(r *byteReader) (entries int, accs []fuzzAccess) {
 				a = x >> 33
 			case shapeBroadcast:
 				a = off
+			}
+			if table {
+				a %= 1 << 10
 			}
 			accs = append(accs, fuzzAccess{entry: e, addr: uint64(e)<<16 + a%(64<<10), size: size})
 		}
@@ -308,15 +313,30 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 	})
 }
 
-// sameLines reports whether c holds the same line in every way as the
-// reference cache.
+// sameLines reports whether each set of c holds the reference cache's
+// lines in recency order, most recent first, then its empty ways: the
+// same lines as the reference and the same LRU order.
 func sameLines(c *Cache, ref *refCache) bool {
-	if len(c.ways) != len(ref.tags) {
+	if len(c.tags) != len(ref.tags) || c.nways != ref.ways {
 		return false
 	}
-	for i, w := range c.ways {
-		if w.tag != ref.tags[i] {
-			return false
+	want := make([]int, ref.ways)
+	for base := 0; base < len(ref.tags); base += ref.ways {
+		want = want[:0]
+		for i := base; i < base+ref.ways; i++ {
+			if ref.tags[i] != 0 {
+				want = append(want, i)
+			}
+		}
+		sort.Slice(want, func(a, b int) bool { return ref.stamps[want[a]] > ref.stamps[want[b]] })
+		for w := 0; w < ref.ways; w++ {
+			var tag uint64
+			if w < len(want) {
+				tag = ref.tags[want[w]]
+			}
+			if c.tags[base+w] != tag {
+				return false
+			}
 		}
 	}
 	return true
