@@ -1,7 +1,7 @@
 package baselines
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"drgpum/internal/gpu"
@@ -17,48 +17,6 @@ func wire() (*gpu.Device, *ValueExpert) {
 	return dev, ve
 }
 
-func TestValueExpertSilentStores(t *testing.T) {
-	dev, ve := wire()
-	p, _ := dev.Malloc(64)
-	_ = dev.LaunchFunc(nil, "silent", gpu.Dim1(1), gpu.Dim1(1), func(ctx *gpu.ExecContext) {
-		ctx.StoreU32(p, 7)
-		ctx.StoreU32(p, 7) // silent
-		ctx.StoreU32(p, 7) // silent
-		ctx.StoreU32(p, 8) // value changes: not silent
-		ctx.StoreU32(p+4, 7)
-	})
-	_ = dev.Free(p)
-
-	reps := ve.Reports()
-	if len(reps) != 1 {
-		t.Fatalf("reports = %+v", reps)
-	}
-	r := reps[0]
-	if r.Stores != 5 || r.SilentStores != 2 {
-		t.Errorf("stores=%d silent=%d, want 5/2", r.Stores, r.SilentStores)
-	}
-	if r.SingleValued {
-		t.Error("object with two distinct values reported single-valued")
-	}
-	if !strings.Contains(ve.Summary(), "2 silent store(s)") {
-		t.Errorf("summary = %q", ve.Summary())
-	}
-}
-
-func TestValueExpertSingleValued(t *testing.T) {
-	dev, ve := wire()
-	p, _ := dev.Malloc(64)
-	_ = dev.LaunchFunc(nil, "zeros", gpu.Dim1(1), gpu.Dim1(1), func(ctx *gpu.ExecContext) {
-		for i := 0; i < 16; i++ {
-			ctx.StoreU32(p+gpu.DevicePtr(i*4), 0)
-		}
-	})
-	_ = dev.Free(p)
-	if r := ve.Reports()[0]; !r.SingleValued {
-		t.Errorf("zero-filled object not single-valued: %+v", r)
-	}
-}
-
 func TestValueExpertUnusedAllocationReasoning(t *testing.T) {
 	dev, ve := wire()
 	unused, _ := dev.Malloc(128)
@@ -71,24 +29,71 @@ func TestValueExpertUnusedAllocationReasoning(t *testing.T) {
 	if len(pats) != 1 || pats[0] != pattern.UnusedAllocation {
 		t.Errorf("patterns = %v (an allocation with no value activity lets the user infer UA)", pats)
 	}
-	// Per-report flags.
-	var accessed, total int
-	for _, r := range ve.Reports() {
-		total++
-		if r.Accessed {
-			accessed++
-		}
-	}
-	if total != 2 || accessed != 1 {
-		t.Errorf("reports: %d total, %d accessed", total, accessed)
+}
+
+// TestValueExpertKernelAccesses checks that a kernel's global loads and
+// stores mark their allocation accessed, and shared-memory accesses mark
+// none.
+func TestValueExpertKernelAccesses(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(ctx *gpu.ExecContext, p gpu.DevicePtr)
+		want []pattern.Pattern
+	}{
+		{"global load", func(ctx *gpu.ExecContext, p gpu.DevicePtr) { _ = ctx.LoadU32(p + 8) }, nil},
+		{"global store", func(ctx *gpu.ExecContext, p gpu.DevicePtr) { ctx.StoreF32(p+8, 1) }, nil},
+		{"shared only", func(ctx *gpu.ExecContext, _ gpu.DevicePtr) {
+			off := ctx.SharedAlloc(8)
+			ctx.SharedStoreF64(off, 1)
+			_ = ctx.SharedLoadF64(off)
+		}, []pattern.Pattern{pattern.UnusedAllocation}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev, ve := wire()
+			p, _ := dev.Malloc(64)
+			_ = dev.LaunchFunc(nil, "k", gpu.Dim1(1), gpu.Dim1(1), func(ctx *gpu.ExecContext) { tc.body(ctx, p) })
+			_ = dev.Free(p)
+			if pats := ve.DetectedPatterns(); !slices.Equal(pats, tc.want) {
+				t.Errorf("patterns = %v, want %v", pats, tc.want)
+			}
+		})
 	}
 }
 
+// TestValueExpertFreedRangeInsideLiveAllocation stores into a live
+// allocation past the base of a freed one that it now covers: the freed
+// allocation must not capture the store, or the live one reads as unused.
+func TestValueExpertFreedRangeInsideLiveAllocation(t *testing.T) {
+	dev, ve := wire()
+	a, _ := dev.Malloc(64)
+	b, _ := dev.Malloc(64)
+	_ = dev.Memset(a, 0, 64, nil)
+	_ = dev.Memset(b, 0, 64, nil)
+	_ = dev.Free(a)
+	_ = dev.Free(b)
+	x, _ := dev.Malloc(1024)
+	if x != a || b < x || b+64 > x+1024 {
+		t.Fatalf("layout: a=%#x b=%#x x=%#x; want x at a's base, covering b", a, b, x)
+	}
+	_ = dev.LaunchFunc(nil, "k", gpu.Dim1(1), gpu.Dim1(1), func(ctx *gpu.ExecContext) { ctx.StoreU32(x+512, 1) })
+	if pats := ve.DetectedPatterns(); len(pats) != 0 {
+		t.Errorf("patterns = %v, want none (every allocation was touched)", pats)
+	}
+}
+
+// TestValueExpertAllUsedNoPattern touches one allocation each by a
+// memset, a copy in and a copy out: each counts as value activity.
 func TestValueExpertAllUsedNoPattern(t *testing.T) {
 	dev, ve := wire()
-	p, _ := dev.Malloc(64)
-	_ = dev.Memset(p, 0, 64, nil)
-	_ = dev.Free(p)
+	set, _ := dev.Malloc(64)
+	in, _ := dev.Malloc(64)
+	out, _ := dev.Malloc(64)
+	_ = dev.Memset(set, 0, 64, nil)
+	_ = dev.MemcpyHtoD(in, make([]byte, 64), nil)
+	_ = dev.MemcpyDtoH(make([]byte, 64), out, nil)
+	for _, p := range []gpu.DevicePtr{set, in, out} {
+		_ = dev.Free(p)
+	}
 	if pats := ve.DetectedPatterns(); len(pats) != 0 {
 		t.Errorf("patterns = %v", pats)
 	}

@@ -192,9 +192,10 @@ type Result struct {
 	ValueExpert []pattern.Pattern
 	// Cycles is the simulated device time of a ModeNative run.
 	Cycles uint64
-	// Wall is the host wall-clock duration of the run body (device
-	// construction excluded, analysis included), measured at execution
-	// time — a cache hit returns the original execution's Wall.
+	// Wall is the host wall-clock duration of a ModeProfile or ModeNative
+	// run body (device construction excluded, analysis included), measured
+	// at execution time — a cache hit returns the original execution's
+	// Wall.
 	Wall time.Duration
 	Err  error
 }

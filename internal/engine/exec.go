@@ -94,7 +94,6 @@ func execNative(s RunSpec) Result {
 // Level and Sampling are ignored: both tools observe every kernel.
 func execBaselines(s RunSpec, rec *obs.Recorder) Result {
 	dev := gpu.NewDevice(s.Spec)
-	start := time.Now()
 	// Before anything else, as in core.Attach: the checker reshapes the
 	// allocator (red zones, quarantine) before the first allocation.
 	c := memcheck.Attach(dev, memcheck.DefaultConfig())
@@ -105,7 +104,7 @@ func execBaselines(s RunSpec, rec *obs.Recorder) Result {
 	if err := s.Workload.Run(dev, checkerHost{c}, s.Variant); err != nil {
 		return Result{Err: fmt.Errorf("%s (%s) baselines: %w", s.Workload.Name, s.Variant, err)}
 	}
-	return Result{ValueExpert: vex.DetectedPatterns(), Memcheck: c.Report(), Wall: time.Since(start)}
+	return Result{ValueExpert: vex.DetectedPatterns(), Memcheck: c.Report()}
 }
 
 // checkerHost forwards workload annotations to the checker so memcheck

@@ -190,11 +190,6 @@ type MemAccess struct {
 	Size  uint32
 	Kind  AccessKind
 	Space MemSpace
-	// Value carries the stored value for typed writes of up to eight
-	// bytes (HasValue reports validity). Value-aware tools consume this;
-	// DrGPUM itself is value-agnostic and ignores it.
-	Value    uint64
-	HasValue bool
 	// Tag is the object tag of the hit-table row the device resolved the
 	// access to, as the live-ranges provider handed it out (see
 	// Device.SetLiveRangesProvider). The device sets it only on a launch

@@ -203,24 +203,18 @@ func (c *ExecContext) backing(b *block, addr DevicePtr, size uint32, kind Access
 
 // access performs bookkeeping common to every load/store and returns the
 // backing slice for the accessed bytes (nil on an out-of-bounds access).
+// Native and host-trace accesses find their bytes with Allocator.lookup. A
+// profiled access resolves its hit-table row once, and the row gives the
+// hit flag, the cost-model entry, the backing bytes and the record's object
+// tag.
 func (c *ExecContext) access(addr DevicePtr, size uint32, kind AccessKind) []byte {
-	return c.accessVal(addr, size, kind, 0, false)
-}
-
-// accessVal is access with an optional store value attached to the emitted
-// record, so value-aware tools (the ValueExpert baseline) can observe the
-// data stream without a second instrumentation pass. Native and host-trace
-// accesses find their bytes with Allocator.lookup. A profiled access
-// resolves its hit-table row once, and the row gives the hit flag, the
-// cost-model entry, the backing bytes and the record's object tag.
-func (c *ExecContext) accessVal(addr DevicePtr, size uint32, kind AccessKind, val uint64, hasVal bool) []byte {
 	c.accessCycles += c.dev.spec.GlobalLatency
 	if c.dev.patch == PatchNone {
 		return c.backing(c.dev.alloc.lookup(addr), addr, size, kind)
 	}
 	if c.hostTrace {
 		data := c.backing(c.dev.alloc.lookup(addr), addr, size, kind)
-		c.dev.pushAccess(c.rec, MemAccess{Addr: addr, Size: size, Kind: kind, Space: SpaceGlobal, Value: val, HasValue: hasVal})
+		c.dev.pushAccess(c.rec, MemAccess{Addr: addr, Size: size, Kind: kind, Space: SpaceGlobal})
 		return data
 	}
 	i, b := c.resolve(addr)
@@ -233,7 +227,7 @@ func (c *ExecContext) accessVal(addr DevicePtr, size uint32, kind AccessKind, va
 		if i >= 0 {
 			tag = c.table[i].tag
 		}
-		c.dev.pushAccess(c.rec, MemAccess{Addr: addr, Size: size, Kind: kind, Space: SpaceGlobal, Value: val, HasValue: hasVal, Tag: tag})
+		c.dev.pushAccess(c.rec, MemAccess{Addr: addr, Size: size, Kind: kind, Space: SpaceGlobal, Tag: tag})
 	}
 	if i >= 0 {
 		if kind == AccessRead {
@@ -289,7 +283,7 @@ func (c *ExecContext) LoadF64(addr DevicePtr) float64 {
 
 // StoreF64 stores a float64 to device memory.
 func (c *ExecContext) StoreF64(addr DevicePtr, v float64) {
-	data := c.accessVal(addr, 8, AccessWrite, math.Float64bits(v), true)
+	data := c.access(addr, 8, AccessWrite)
 	if data != nil {
 		binary.LittleEndian.PutUint64(data, math.Float64bits(v))
 	}
@@ -306,7 +300,7 @@ func (c *ExecContext) LoadF32(addr DevicePtr) float32 {
 
 // StoreF32 stores a float32 to device memory.
 func (c *ExecContext) StoreF32(addr DevicePtr, v float32) {
-	data := c.accessVal(addr, 4, AccessWrite, uint64(math.Float32bits(v)), true)
+	data := c.access(addr, 4, AccessWrite)
 	if data != nil {
 		binary.LittleEndian.PutUint32(data, math.Float32bits(v))
 	}
@@ -323,7 +317,7 @@ func (c *ExecContext) LoadU32(addr DevicePtr) uint32 {
 
 // StoreU32 stores a uint32 to device memory.
 func (c *ExecContext) StoreU32(addr DevicePtr, v uint32) {
-	data := c.accessVal(addr, 4, AccessWrite, uint64(v), true)
+	data := c.access(addr, 4, AccessWrite)
 	if data != nil {
 		binary.LittleEndian.PutUint32(data, v)
 	}
@@ -340,7 +334,7 @@ func (c *ExecContext) LoadU8(addr DevicePtr) byte {
 
 // StoreU8 stores one byte to device memory.
 func (c *ExecContext) StoreU8(addr DevicePtr, v byte) {
-	data := c.accessVal(addr, 1, AccessWrite, uint64(v), true)
+	data := c.access(addr, 1, AccessWrite)
 	if data != nil {
 		data[0] = v
 	}

@@ -11,7 +11,7 @@ import (
 
 // refContext is the profiled access path as it was before hit-table rows
 // carried their allocation, kept verbatim as the reference that
-// FuzzResolveMatchesReference checks resolve and accessVal against: the
+// FuzzResolveMatchesReference checks resolve and access against: the
 // previous access's row (lastEntry), then the inline binary search, for
 // the row; an independent Allocator.lookup for the backing bytes.
 type refContext struct {
@@ -69,8 +69,8 @@ func (c *refContext) findEntry(addr DevicePtr) int {
 	return -1
 }
 
-// access is the profiled (hit-flag, not host-trace) half of the former
-// accessVal: the backing bytes or a fault from Allocator.lookup, then the
+// access is the profiled (hit-flag, not host-trace) half of
+// ExecContext.access as it was then: the backing bytes or a fault from Allocator.lookup, then the
 // row from findEntry, which sets the hit flag and charges the cost model.
 // It returns the row and the backing bytes.
 func (c *refContext) access(addr DevicePtr, size uint32, kind AccessKind) (int, []byte) {

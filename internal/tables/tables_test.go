@@ -174,6 +174,45 @@ func TestTable5Coverage(t *testing.T) {
 	}
 }
 
+// TestValueExpertPerProgram pins each baselines run's ValueExpert set,
+// which Table 5 only sees aggregated over the naive variants. The naive
+// runs are the ones Table5 submits, so engine.Default serves them from
+// its cache when both tests run.
+func TestValueExpertPerProgram(t *testing.T) {
+	unused := map[string]bool{
+		"rodinia/huffman": true,
+		"rodinia/dwt2d":   true,
+		"pytorch":         true,
+		"laghos":          true,
+		"darknet":         true,
+		"minimdock":       true,
+	}
+	var specs []engine.RunSpec
+	for _, w := range workloads.All() {
+		for _, v := range []workloads.Variant{workloads.VariantNaive, workloads.VariantOptimized} {
+			specs = append(specs, engine.RunSpec{
+				Mode:     engine.ModeBaselines,
+				Workload: w,
+				Spec:     gpu.SpecRTX3090(),
+				Variant:  v,
+			})
+		}
+	}
+	results, err := engine.Default().Run(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range specs {
+		var want []pattern.Pattern
+		if s.Variant == workloads.VariantNaive && unused[s.Workload.Name] {
+			want = []pattern.Pattern{pattern.UnusedAllocation}
+		}
+		if got := results[i].ValueExpert; !slices.Equal(got, want) {
+			t.Errorf("%s/%s: ValueExpert = %v, want %v", s.Workload.Name, s.Variant, got, want)
+		}
+	}
+}
+
 // TestComputeSanitizerColumn pins how Table 5's Compute Sanitizer column
 // reads a baselines run's memory-safety report: of the four bug classes
 // memcheck/knownbad plants, only the leak names a DrGPUM pattern, and the

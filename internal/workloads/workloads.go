@@ -17,8 +17,8 @@
 //
 // Workloads perform real computation over real device bytes — a huffman
 // encoder really encodes, the matrix kernels really multiply — so that
-// value-aware baseline tools observe genuine data streams and optimized
-// variants can be validated against naive results.
+// data-dependent accesses follow the data as in the original programs and
+// optimized variants can be validated against naive results.
 package workloads
 
 import (
