@@ -10,11 +10,11 @@
 //
 //	drgpum -workload rodinia/huffman [-variant naive|optimized]
 //	       [-device rtx3090|a100] [-mode object|intra] [-sampling N]
-//	       [-stream] [-window N] [-heatmap] [-pipelined]
+//	       [-stream] [-window N] [-heatmap]
 //	       [-json] [-verbose] [-timeline] [-memcheck] [-stats]
 //	       [-gui liveness.json] [-html report.html] [-save profile.json]
 //	drgpum -workload polybench/2mm -diff [-device D] [-mode M] [-sampling N]
-//	       [-stream] [-window N] [-pipelined] [-memcheck]
+//	       [-stream] [-window N] [-memcheck]
 //	drgpum -workload memcheck/knownbad -memcheck
 //	drgpum -workload simplemulticopy -gui liveness.json   # Figure 7
 //	drgpum -load profile.json [-ti 4] [-ra-tolerance 0.10] [-peaks 2]
@@ -46,30 +46,29 @@ func main() {
 	log.SetPrefix("drgpum: ")
 
 	var (
-		workload  = flag.String("workload", "", "workload to profile (see -list)")
-		variant   = flag.String("variant", "naive", "naive or optimized")
-		device    = flag.String("device", "rtx3090", "rtx3090 or a100")
-		mode      = flag.String("mode", "intra", "analysis granularity: object or intra")
-		sampling  = flag.Int("sampling", 1, "intra-object kernel sampling period (0 or 1 = every launch)")
-		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
-		guiPath   = flag.String("gui", "", "write a Perfetto trace (liveness.json) to this path")
-		htmlPath  = flag.String("html", "", "write a self-contained HTML report to this path")
-		savePath  = flag.String("save", "", "save the profile for offline re-analysis (drgpum -load)")
-		verbose   = flag.Bool("verbose", false, "include call paths and peak object lists")
-		list      = flag.Bool("list", false, "list available workloads and exit")
-		memcheck  = flag.Bool("memcheck", false, "attach the memory-safety checker (OOB, use-after-free, uninitialized reads, leaks)")
-		stats     = flag.Bool("stats", false, "enable self-observability and print the profiler's own phase/counter summary after the report")
-		diff      = flag.Bool("diff", false, "profile both variants and summarize the optimization outcome")
-		timeline  = flag.Bool("timeline", false, "draw the object-lifetime timeline (the paper's Figure 2 view) after the report")
-		stream    = flag.Bool("stream", false, "stream the analysis: finalize per kernel-epoch with bounded collector memory (same report, plus a temporal heat map)")
-		window    = flag.Int("window", 0, "streaming kernel-epoch length (0 = default; requires -stream or -heatmap)")
-		heatmap   = flag.Bool("heatmap", false, "draw the temporal heat map after the report (implies -stream)")
-		pipelined = flag.Bool("pipelined", false, "pipeline the run: simulate on one goroutine while another ingests the access stream (identical report, lower wall clock on a free core)")
-		loadPath  = flag.String("load", "", "re-analyze this saved profile instead of running a workload")
-		baseline  = flag.String("baseline", "", "with -load: compare the loaded profile (the candidate) against this saved profile")
-		ti        = flag.Int("ti", 4, "with -load: temporary-idleness threshold (intervening GPU APIs)")
-		raTol     = flag.Float64("ra-tolerance", 0.10, "with -load: redundant-allocation size tolerance (fraction)")
-		peaks     = flag.Int("peaks", 2, "with -load: memory peaks to report")
+		workload = flag.String("workload", "", "workload to profile (see -list)")
+		variant  = flag.String("variant", "naive", "naive or optimized")
+		device   = flag.String("device", "rtx3090", "rtx3090 or a100")
+		mode     = flag.String("mode", "intra", "analysis granularity: object or intra")
+		sampling = flag.Int("sampling", 1, "intra-object kernel sampling period (0 or 1 = every launch)")
+		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
+		guiPath  = flag.String("gui", "", "write a Perfetto trace (liveness.json) to this path")
+		htmlPath = flag.String("html", "", "write a self-contained HTML report to this path")
+		savePath = flag.String("save", "", "save the profile for offline re-analysis (drgpum -load)")
+		verbose  = flag.Bool("verbose", false, "include call paths and peak object lists")
+		list     = flag.Bool("list", false, "list available workloads and exit")
+		memcheck = flag.Bool("memcheck", false, "attach the memory-safety checker (OOB, use-after-free, uninitialized reads, leaks)")
+		stats    = flag.Bool("stats", false, "enable self-observability and print the profiler's own phase/counter summary after the report")
+		diff     = flag.Bool("diff", false, "profile both variants and summarize the optimization outcome")
+		timeline = flag.Bool("timeline", false, "draw the object-lifetime timeline (the paper's Figure 2 view) after the report")
+		stream   = flag.Bool("stream", false, "stream the analysis: finalize per kernel-epoch with bounded collector memory (same report, plus a temporal heat map)")
+		window   = flag.Int("window", 0, "streaming kernel-epoch length (0 = default; requires -stream or -heatmap)")
+		heatmap  = flag.Bool("heatmap", false, "draw the temporal heat map after the report (implies -stream)")
+		loadPath = flag.String("load", "", "re-analyze this saved profile instead of running a workload")
+		baseline = flag.String("baseline", "", "with -load: compare the loaded profile (the candidate) against this saved profile")
+		ti       = flag.Int("ti", 4, "with -load: temporary-idleness threshold (intervening GPU APIs)")
+		raTol    = flag.Float64("ra-tolerance", 0.10, "with -load: redundant-allocation size tolerance (fraction)")
+		peaks    = flag.Int("peaks", 2, "with -load: memory peaks to report")
 	)
 	flag.Parse()
 
@@ -124,7 +123,6 @@ func main() {
 		Sampling:  *sampling,
 		Streaming: *stream,
 		Window:    *window,
-		Pipelined: *pipelined,
 		Memcheck:  *memcheck,
 	}.Spec()
 	if errors.Is(err, engine.ErrUnknownWorkload) {
@@ -153,9 +151,9 @@ func main() {
 
 // pathFlags names the flags each of drgpum's paths reads.
 var pathFlags = map[string]string{
-	"a workload run": "workload variant device mode sampling stream window heatmap pipelined memcheck " +
+	"a workload run": "workload variant device mode sampling stream window heatmap memcheck " +
 		"json verbose timeline stats gui html save",
-	"-diff":                "diff workload device mode sampling stream window pipelined memcheck",
+	"-diff":                "diff workload device mode sampling stream window memcheck",
 	"-load":                "load ti ra-tolerance peaks json verbose timeline gui html save",
 	"-load with -baseline": "load baseline ti ra-tolerance peaks",
 	"-list":                "list",

@@ -319,17 +319,6 @@ func WithoutCostModel() Option {
 	return func(c *Config) { c.CostModel.Disabled = true }
 }
 
-// WithPipelinedIngest decouples simulation from ingestion inside the run:
-// the device hands filled access batches to a dedicated consumer goroutine
-// over a bounded double-buffered channel and keeps simulating while the
-// hooks, intra-object accumulation included, run there. The report is
-// byte-identical to the default synchronous ingestion (the pipelined
-// determinism tests pin this); the win is single-run wall clock on a free
-// core.
-func WithPipelinedIngest() Option {
-	return func(c *Config) { c.PipelinedIngest = true }
-}
-
 // DefaultConfig returns the paper's experimental settings at object-level
 // analysis granularity (every GPU API intercepted; no per-instruction
 // instrumentation).

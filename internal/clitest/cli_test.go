@@ -224,6 +224,12 @@ func TestDrgpumFlagPaths(t *testing.T) {
 	if out := run(t, "drgpum", "-workload", "simplemulticopy", "-diff", "-stream", "-memcheck"); !strings.Contains(out, "data-object peak:") {
 		t.Errorf("-diff -stream -memcheck output:\n%s", out)
 	}
+	// No path reads -pipelined: a run pipelines its ingest on its own
+	// when a second core is free.
+	out, err := command(t, "drgpum", "-workload", "simplemulticopy", "-pipelined").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -pipelined") {
+		t.Errorf("drgpum -pipelined: err %v, want exit status 2 naming the undefined flag:\n%s", err, out)
+	}
 }
 
 // TestTablesUnknownTable: a table the paper's evaluation does not have

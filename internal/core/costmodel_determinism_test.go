@@ -34,11 +34,10 @@ func costReport(tb testing.TB, w *workloads.Workload, v workloads.Variant, m cos
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	cfg := core.IntraObjectConfig()
 	cfg.KernelWhitelist = w.IntraKernels
-	cfg.PipelinedIngest = m.pipelined
 	if m.streaming {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
 	}
-	prof := core.Attach(dev, cfg)
+	prof := attach(dev, cfg, m.pipelined)
 	if err := w.Run(dev, prof, v); err != nil {
 		tb.Fatal(err)
 	}

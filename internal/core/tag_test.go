@@ -122,14 +122,11 @@ func tagOracleRun(t *testing.T, w *workloads.Workload, v workloads.Variant, mode
 	if mode == "streaming" {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
 	}
-	prof := core.Attach(dev, cfg)
+	prof := attach(dev, cfg, mode == "pipelined")
+	// Registered after Attach: with pipelined ingest the consumer reads the
+	// device's hook list, so the oracle sees the handed-off batches too.
 	oracle := &tagOracle{t: t, c: prof.Collector()}
 	dev.AddHook(oracle)
-	if mode == "pipelined" {
-		// Attach's last step for Config.PipelinedIngest, taken here so the
-		// consumer's hook list includes the oracle.
-		dev.StartPipelinedIngest()
-	}
 	var host workloads.Host = prof
 	if !attachPool {
 		host = noPoolHost{prof}

@@ -19,10 +19,10 @@
 //     pins that equivalence in tests).
 //   - Memoized profiles. Runs are cached under their full configuration
 //     (mode, workload, device spec, variant, patch level, sampling
-//     period, streaming window, pipelining, memcheck flag) with
-//     singleflight semantics: concurrent requests for the same tuple
-//     share one execution. Table 1, Table 5, the memcheck gate and the
-//     CLIs run overlapping tuples; each is computed once per process.
+//     period, streaming window, memcheck flag) with singleflight
+//     semantics: concurrent requests for the same tuple share one
+//     execution. Table 1, Table 5, the memcheck gate and the CLIs run
+//     overlapping tuples; each is computed once per process.
 //     Stats reports the hit/miss/dedup counts.
 //
 // A wall-clock measurement needs runs that really execute and execute
@@ -97,12 +97,6 @@ type RunSpec struct {
 	// (<= 0 selects the core default).
 	Streaming bool
 	Window    int
-	// Pipelined runs a ModeProfile body with intra-run pipelined ingestion
-	// (core.Config.PipelinedIngest): simulation and hook consumption
-	// overlap on two goroutines. Reports are byte-identical either way;
-	// pipelined runs still get their own cache entries so a cached
-	// synchronous profile never masks the pipelined execution path.
-	Pipelined bool
 	// Memcheck attaches the memory-safety checker to a ModeProfile run
 	// (core.Config.Memcheck).
 	Memcheck bool
@@ -119,7 +113,6 @@ type Request struct {
 	Sampling  int    `json:"sampling,omitempty"`
 	Streaming bool   `json:"streaming,omitempty"`
 	Window    int    `json:"window,omitempty"`
-	Pipelined bool   `json:"pipelined,omitempty"`
 	Memcheck  bool   `json:"memcheck,omitempty"`
 }
 
@@ -142,7 +135,6 @@ func (r Request) Spec() (RunSpec, error) {
 		Sampling:  max(r.Sampling, 1),
 		Streaming: r.Streaming,
 		Window:    r.Window,
-		Pipelined: r.Pipelined,
 		Memcheck:  r.Memcheck,
 	}
 	switch strings.ToLower(r.Device) {

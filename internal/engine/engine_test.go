@@ -3,7 +3,9 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
@@ -146,5 +148,41 @@ func TestErrorPropagation(t *testing.T) {
 	}
 	if s := e.Stats(); s.Misses != 2 || s.Hits != 1 {
 		t.Errorf("stats = %+v, want the failure cached (2 misses, 1 hit)", s)
+	}
+}
+
+// TestFailedProfileLeavesNoGoroutine: a profiling run whose workload fails
+// returns without Finish, and at GOMAXPROCS 2 its ingest pipelines, so the
+// engine stops the pipeline itself. No goroutine outlives the run.
+func TestFailedProfileLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	boom := errors.New("boom")
+	bad := &workloads.Workload{
+		Name: "engine-test/boom-after-kernel",
+		Run: func(dev *gpu.Device, host workloads.Host, v workloads.Variant) error {
+			ptr, err := dev.Malloc(1 << 16)
+			if err != nil {
+				return err
+			}
+			err = dev.LaunchFunc(nil, "sweep", gpu.Dim1(1), gpu.Dim1(1), func(ctx *gpu.ExecContext) {
+				for i := 0; i < 10000; i++ {
+					ctx.LoadF32(ptr + gpu.DevicePtr(4*(i%(1<<14))))
+				}
+			})
+			if err != nil {
+				return err
+			}
+			return boom
+		},
+	}
+	before := runtime.NumGoroutine()
+	spec := engine.RunSpec{Mode: engine.ModeProfile, Workload: bad, Spec: gpu.SpecRTX3090(), Level: gpu.PatchFull}
+	if _, err := engine.New(engine.Config{Workers: 1}).Run([]engine.RunSpec{spec}); !errors.Is(err, boom) {
+		t.Fatalf("run error = %v, want the workload's failure", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutine(s) outlived the failed run", runtime.NumGoroutine()-before)
+		}
 	}
 }

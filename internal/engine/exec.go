@@ -67,9 +67,10 @@ func execProfile(s RunSpec, rec *obs.Recorder) Result {
 	if s.Streaming {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: s.Window}
 	}
-	cfg.PipelinedIngest = s.Pipelined
+	// core.Attach decides whether the run pipelines its ingest.
 	prof := core.Attach(dev, cfg)
 	if err := s.Workload.Run(dev, prof, s.Variant); err != nil {
+		dev.StopPipelinedIngest() // no Finish on this path: join the consumer here
 		return Result{Err: fmt.Errorf("%s (%s): %w", s.Workload.Name, s.Variant, err)}
 	}
 	rep := prof.Finish()

@@ -124,7 +124,7 @@ func FuzzSubmitBody(f *testing.F) {
 		`{"runs":[{"workload":"simplemulticopy","window":4}]}`,
 		`{"runs":[{"workload":"simplemulticopy","device":"A100","variant":"Optimized","mode":"OBJECT"}]}`,
 		`{"runs":[{"workload":"rodinia/huffman"},{"workload":"polybench/bicg","mode":"object","sampling":100},` +
-			`{"workload":"simplemulticopy","streaming":true,"window":8,"pipelined":true,"memcheck":true}]}`,
+			`{"workload":"simplemulticopy","streaming":true,"window":8,"memcheck":true}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
