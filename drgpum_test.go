@@ -62,6 +62,12 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if got := rep.PatternsForObject("spare"); len(got) == 0 {
 		t.Error("annotation did not reach the report")
 	}
+	// An allocation site is the program's own call into the simulator.
+	for _, a := range rep.Advice() {
+		if !strings.Contains(a.AllocSite, ".TestPublicAPIQuickstart (drgpum_test.go:") {
+			t.Errorf("%s on %s: alloc site %q is not this test's line", a.PatternID, a.Object, a.AllocSite)
+		}
+	}
 
 	var buf2 bytes.Buffer
 	if err := rep.Export(&buf2, drgpum.FormatGUI); err != nil {

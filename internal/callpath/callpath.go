@@ -7,12 +7,16 @@
 // directly. The package stores unwound paths in a calling-context tree (CCT)
 // and hands out small stable IDs, so a path captured millions of times costs
 // one integer per record.
+//
+// A captured path holds the program's frames only, cut by one rule when it
+// is captured (see Capture), so every export formats paths as they are.
 package callpath
 
 import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 )
 
 // PathID identifies an interned call path. The zero value means "no path".
@@ -37,6 +41,33 @@ func (f Frame) String() string {
 	return fmt.Sprintf("%s (%s:%d)", f.Function, file, f.Line)
 }
 
+// maxDepth bounds the frames one capture unwinds, counted from Capture's
+// caller.
+const maxDepth = 64
+
+// frameKind is a frame's role in the cut Capture makes.
+type frameKind uint8
+
+const (
+	kindProgram frameKind = iota
+	// kindSimulated frames play the CUDA runtime's part: the device API
+	// (internal/gpu), the caching allocators in front of cudaMalloc
+	// (internal/pool) and cudaMallocManaged (internal/unified).
+	kindSimulated
+	kindGoRuntime // package runtime
+)
+
+// pcFrame is a program counter's resolved frame and its kind.
+type pcFrame struct {
+	frame Frame
+	kind  frameKind
+}
+
+// pcFrames caches every program counter's pcFrame for the process: what a
+// counter resolves to never changes, and every profile meets mostly the
+// same counters, so each is resolved and classified once.
+var pcFrames sync.Map // uintptr -> pcFrame
+
 // node is a CCT node: a program counter plus its parent.
 type node struct {
 	parent PathID
@@ -50,12 +81,8 @@ type Unwinder struct {
 	nodes []node // nodes[0] is the root sentinel
 	// children maps (parent, pc) to a node id for O(1) interning.
 	children map[childKey]PathID
-	// frameCache memoizes pc -> Frame resolution.
-	frameCache map[uintptr]Frame
 	// pcBuf is reused across captures.
 	pcBuf []uintptr
-	// MaxDepth bounds captured stacks; 0 means the default of 64.
-	MaxDepth int
 }
 
 type childKey struct {
@@ -66,33 +93,74 @@ type childKey struct {
 // NewUnwinder creates an empty calling-context tree.
 func NewUnwinder() *Unwinder {
 	return &Unwinder{
-		nodes:      []node{{}},
-		children:   make(map[childKey]PathID),
-		frameCache: make(map[uintptr]Frame),
-		pcBuf:      make([]uintptr, 64),
+		nodes:    []node{{}},
+		children: make(map[childKey]PathID),
+		pcBuf:    make([]uintptr, maxDepth),
 	}
 }
 
-// Capture unwinds the calling goroutine's stack, skipping skip frames above
-// the caller of Capture, and returns the interned path ID. The path is
-// rooted at main (outermost frame) and its leaf is the innermost frame.
-func (u *Unwinder) Capture(skip int) PathID {
-	depth := u.MaxDepth
-	if depth <= 0 {
-		depth = 64
+// Enter runs run, the program, and marks on the stack where the program was
+// entered: paths captured while run executes stop at the first frame inside
+// it. It returns run's error.
+//
+//go:noinline
+func Enter(run func() error) error {
+	return run()
+}
+
+// enterPC is the program counter of Enter's frame, the same on every stack
+// that holds one: Enter is never inlined and calls run from one place.
+var enterPC = func() (pc uintptr) {
+	_ = Enter(func() error {
+		var pcs [1]uintptr
+		runtime.Callers(2, pcs[:]) // skip runtime.Callers and this closure
+		pc = pcs[0]
+		return nil
+	})
+	return pc
+}()
+
+// Capture unwinds the calling goroutine's stack and returns the interned
+// path of the program's frames, cut by one rule:
+//
+//   - The leaf is the program's call into the simulated CUDA runtime (the
+//     first frame outside it); the runtime's frames, and the hook frames
+//     inside them that called Capture, are dropped. With no runtime frame on
+//     the stack the leaf is Capture's caller.
+//   - The root is the first frame of the program Enter runs; Enter, the
+//     closure it calls and every frame outside it are dropped. With no Enter
+//     on the stack only the Go runtime's outermost frames (runtime.main,
+//     runtime.goexit) are, so a program's path ends at main.main.
+//
+// No frame outside the cut is interned, so path IDs depend on the program
+// alone, not on the goroutine or stack depth that entered it.
+func (u *Unwinder) Capture() PathID {
+	// 2 skips runtime.Callers and Capture itself.
+	pcs := u.pcBuf[:runtime.Callers(2, u.pcBuf)]
+	lo := 0
+	for lo < len(pcs) && lookup(pcs[lo]).kind != kindSimulated {
+		lo++
 	}
-	if cap(u.pcBuf) < depth {
-		u.pcBuf = make([]uintptr, depth)
+	if lo == len(pcs) {
+		lo = 0
 	}
-	// +2 skips runtime.Callers and Capture itself.
-	n := runtime.Callers(skip+2, u.pcBuf[:depth])
-	if n == 0 {
-		return 0
+	for lo < len(pcs) && lookup(pcs[lo]).kind == kindSimulated {
+		lo++
 	}
-	pcs := u.pcBuf[:n]
+	hi := lo
+	for hi < len(pcs) && pcs[hi] != enterPC {
+		hi++
+	}
+	if hi < len(pcs) {
+		hi-- // the closure Enter runs
+	} else {
+		for hi > lo && lookup(pcs[hi-1]).kind == kindGoRuntime {
+			hi--
+		}
+	}
 	// Intern from the outermost frame down so shared prefixes share nodes.
 	id := PathID(0)
-	for i := n - 1; i >= 0; i-- {
+	for i := hi - 1; i >= lo; i-- {
 		id = u.intern(id, pcs[i])
 	}
 	return id
@@ -115,45 +183,26 @@ func (u *Unwinder) Frames(id PathID) []Frame {
 	var out []Frame
 	for id != 0 {
 		n := u.nodes[id]
-		out = append(out, u.resolve(n.pc))
+		out = append(out, lookup(n.pc).frame)
 		id = n.parent
 	}
 	return out
 }
 
-// Leaf resolves just the innermost frame of a path, which is what reports
-// show by default (the source line of the GPU API call site).
-func (u *Unwinder) Leaf(id PathID) (Frame, bool) {
-	if id == 0 || int(id) >= len(u.nodes) {
-		return Frame{}, false
+// lookup maps a pc to its resolved frame and kind, through pcFrames.
+func lookup(pc uintptr) pcFrame {
+	if f, ok := pcFrames.Load(pc); ok {
+		return f.(pcFrame)
 	}
-	return u.resolve(u.nodes[id].pc), true
-}
-
-// resolve maps a pc to a source frame, with memoization.
-func (u *Unwinder) resolve(pc uintptr) Frame {
-	if f, ok := u.frameCache[pc]; ok {
-		return f
+	rf, _ := runtime.CallersFrames([]uintptr{pc}).Next()
+	f := pcFrame{frame: Frame{Function: rf.Function, File: rf.File, Line: rf.Line}}
+	switch fn := rf.Function; {
+	case strings.HasPrefix(fn, "runtime."):
+		f.kind = kindGoRuntime
+	case strings.HasPrefix(fn, "drgpum/internal/gpu."), strings.HasPrefix(fn, "drgpum/internal/pool."),
+		strings.HasPrefix(fn, "drgpum/internal/unified."):
+		f.kind = kindSimulated
 	}
-	frames := runtime.CallersFrames([]uintptr{pc})
-	rf, _ := frames.Next()
-	f := Frame{Function: rf.Function, File: rf.File, Line: rf.Line}
-	u.frameCache[pc] = f
+	pcFrames.Store(pc, f)
 	return f
 }
-
-// Format renders a path as a multi-line string, leaf first, indenting each
-// caller one step — the layout DrGPUM's GUI uses in its detail pane.
-func (u *Unwinder) Format(id PathID) string {
-	return formatFrames(u.Frames(id))
-}
-
-// FormatTrimmed is Format restricted to frames outside the profiler runtime:
-// frames from packages matching any of the given prefixes are dropped, which
-// keeps reports focused on application code.
-func (u *Unwinder) FormatTrimmed(id PathID, dropPrefixes ...string) string {
-	return formatFrames(trimFrames(u.Frames(id), dropPrefixes))
-}
-
-// Size returns the number of interned nodes (excluding the root sentinel).
-func (u *Unwinder) Size() int { return len(u.nodes) - 1 }

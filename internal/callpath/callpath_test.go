@@ -1,6 +1,8 @@
 package callpath
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -9,8 +11,11 @@ import (
 func callSiteA(u *Unwinder) PathID { return callSiteInner(u) }
 func callSiteB(u *Unwinder) PathID { return callSiteInner(u) }
 func callSiteInner(u *Unwinder) PathID {
-	return u.Capture(0)
+	return u.Capture()
 }
+
+// size is the number of interned nodes (excluding the root sentinel).
+func size(u *Unwinder) int { return len(u.nodes) - 1 }
 
 func TestCaptureDistinguishesCallers(t *testing.T) {
 	u := NewUnwinder()
@@ -41,7 +46,7 @@ func TestCaptureInternsIdenticalPaths(t *testing.T) {
 	var sizes []int
 	for i := 0; i < 5; i++ {
 		ids = append(ids, loopCapture(u))
-		sizes = append(sizes, u.Size())
+		sizes = append(sizes, size(u))
 	}
 	for _, id := range ids[1:] {
 		if id != ids[0] {
@@ -56,30 +61,16 @@ func TestCaptureInternsIdenticalPaths(t *testing.T) {
 	}
 }
 
-func loopCapture(u *Unwinder) PathID { return u.Capture(0) }
-
-func TestCaptureSkip(t *testing.T) {
-	u := NewUnwinder()
-	id := wrapperCapture(u, 1) // skip the wrapper itself
-	leaf, ok := u.Leaf(id)
-	if !ok {
-		t.Fatal("no leaf")
-	}
-	if strings.Contains(leaf.Function, "wrapperCapture") {
-		t.Errorf("skip=1 should hide the wrapper; leaf = %v", leaf)
-	}
-}
-
-func wrapperCapture(u *Unwinder, skip int) PathID { return u.Capture(skip) }
+func loopCapture(u *Unwinder) PathID { return u.Capture() }
 
 func TestLeafAndFormat(t *testing.T) {
 	u := NewUnwinder()
 	id := callSiteA(u)
-	leaf, ok := u.Leaf(id)
+	leaf, ok := Leaf(u, id)
 	if !ok || leaf.Line == 0 || leaf.File == "" {
 		t.Errorf("leaf = %+v", leaf)
 	}
-	text := u.Format(id)
+	text := Format(u, id)
 	if !strings.Contains(text, "callSiteInner") || !strings.Contains(text, "callSiteA") {
 		t.Errorf("Format output missing frames:\n%s", text)
 	}
@@ -88,24 +79,12 @@ func TestLeafAndFormat(t *testing.T) {
 	}
 }
 
-func TestFormatTrimmed(t *testing.T) {
-	u := NewUnwinder()
-	id := callSiteA(u)
-	trimmed := u.FormatTrimmed(id, "drgpum/internal/callpath.callSiteInner")
-	if strings.Contains(trimmed, "callSiteInner") {
-		t.Errorf("trim did not drop the inner frame:\n%s", trimmed)
-	}
-	if !strings.Contains(trimmed, "callSiteA") {
-		t.Errorf("trim dropped too much:\n%s", trimmed)
-	}
-}
-
 func TestZeroPath(t *testing.T) {
 	u := NewUnwinder()
 	if frames := u.Frames(0); frames != nil {
 		t.Errorf("Frames(0) = %v", frames)
 	}
-	if _, ok := u.Leaf(0); ok {
+	if _, ok := Leaf(u, 0); ok {
 		t.Error("Leaf(0) should not resolve")
 	}
 }
@@ -113,9 +92,9 @@ func TestZeroPath(t *testing.T) {
 func TestSharedPrefixSharing(t *testing.T) {
 	u := NewUnwinder()
 	_ = callSiteA(u)
-	before := u.Size()
+	before := size(u)
 	_ = callSiteB(u)
-	after := u.Size()
+	after := size(u)
 	// The two paths differ only near the leaf; the common prefix (test
 	// harness frames) must be shared, so the growth is small.
 	if grown := after - before; grown > 3 {
@@ -126,37 +105,154 @@ func TestSharedPrefixSharing(t *testing.T) {
 func TestFrozenResolverMatchesLive(t *testing.T) {
 	u := NewUnwinder()
 	id := callSiteA(u)
-	frozen := NewFrozen(u.Export())
+	frozen := Frozen{id: u.Frames(id)}
 
-	if got, want := frozen.Format(id), u.Format(id); got != want {
+	if got, want := Format(frozen, id), Format(u, id); got != want {
 		t.Errorf("frozen Format differs:\n%s\nvs\n%s", got, want)
 	}
-	if got, want := frozen.FormatTrimmed(id, "testing."), u.FormatTrimmed(id, "testing."); got != want {
-		t.Errorf("frozen FormatTrimmed differs")
-	}
-	fl, okF := frozen.Leaf(id)
-	ul, okU := u.Leaf(id)
+	fl, okF := Leaf(frozen, id)
+	ul, okU := Leaf(u, id)
 	if okF != okU || fl != ul {
 		t.Errorf("frozen Leaf = %v,%v vs %v,%v", fl, okF, ul, okU)
 	}
-	if _, ok := frozen.Leaf(0); ok {
+	if _, ok := Leaf(frozen, 0); ok {
 		t.Error("frozen Leaf(0) resolved")
 	}
 	if frozen.Frames(9999) != nil {
 		t.Error("frozen unknown path resolved")
 	}
 	// A nil map is usable.
-	empty := NewFrozen(nil)
-	if empty.Format(1) != "" {
+	if Format(Frozen(nil), 1) != "" {
 		t.Error("empty frozen resolver returned frames")
 	}
 }
 
+// recurse captures from n frames below its first call.
+func recurse(u *Unwinder, n int) PathID {
+	if n == 0 {
+		return u.Capture()
+	}
+	return recurse(u, n-1)
+}
+
 func TestMaxDepthBoundsCapture(t *testing.T) {
 	u := NewUnwinder()
-	u.MaxDepth = 2
-	id := callSiteA(u)
-	if got := len(u.Frames(id)); got > 2 {
-		t.Errorf("captured %d frames with MaxDepth=2", got)
+	frames := u.Frames(recurse(u, 2*maxDepth))
+	if len(frames) != maxDepth {
+		t.Errorf("captured %d frames %d calls deep, want the bound %d", len(frames), 2*maxDepth, maxDepth)
+	}
+}
+
+// TestNoMarkerDropsOnlyGoRuntime checks the cut without Enter on the
+// stack: the path is the whole stack from Capture's caller outward, less
+// the Go runtime's frames at the outer end.
+func TestNoMarkerDropsOnlyGoRuntime(t *testing.T) {
+	u := NewUnwinder()
+	got := u.Frames(callSiteA(u))
+	if n := len(got); n == 0 || got[n-1].Function != "testing.tRunner" {
+		t.Fatalf("outermost frame is not the test harness's: %v", got)
+	}
+	for _, f := range got {
+		if strings.HasPrefix(f.Function, "runtime.") {
+			t.Errorf("kept Go runtime frame %v", f)
+		}
+	}
+	// Every frame but the innermost two (callSiteInner and callSiteA) is
+	// the test's own stack, so it equals a raw unwind's from here on.
+	var raw []string
+	pcs := make([]uintptr, maxDepth)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+	for f, more := frames.Next(); ; f, more = frames.Next() {
+		if !strings.HasPrefix(f.Function, "runtime.") {
+			raw = append(raw, f.Function)
+		}
+		if !more {
+			break
+		}
+	}
+	if len(got) != len(raw)+2 {
+		t.Fatalf("captured %d frames, raw stack has %d program frames: %v", len(got), len(raw), got)
+	}
+	for i, fn := range raw {
+		if got[i+2].Function != fn {
+			t.Errorf("frame %d = %s, raw stack has %s", i+2, got[i+2].Function, fn)
+		}
+	}
+}
+
+// program stands for a workload: entered through Enter, it captures two
+// frames below its own.
+func program(u *Unwinder, id *PathID) error {
+	*id = callSiteA(u)
+	return nil
+}
+
+// TestEnterCut checks the root: Enter, its closure and everything outside
+// them are dropped, so the path ends at the program's first frame.
+func TestEnterCut(t *testing.T) {
+	u := NewUnwinder()
+	var id PathID
+	if err := Enter(func() error { return program(u, &id) }); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range u.Frames(id) {
+		got = append(got, f.Function)
+	}
+	want := []string{
+		"drgpum/internal/callpath.callSiteInner",
+		"drgpum/internal/callpath.callSiteA",
+		"drgpum/internal/callpath.program",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("path inside Enter = %v, want %v", got, want)
+	}
+}
+
+// atDepth calls Enter from n frames below its first call.
+func atDepth(n int, run func() error) error {
+	if n == 0 {
+		return Enter(run)
+	}
+	return atDepth(n-1, run)
+}
+
+// TestPathIDsIndependentOfCaller runs the same program from two goroutines
+// whose stacks outside Enter differ in depth: both intern the same IDs and
+// frames, since nothing outside the cut is interned.
+func TestPathIDsIndependentOfCaller(t *testing.T) {
+	type result struct {
+		ids    []PathID
+		frames [][]Frame
+	}
+	run := func(depth int) result {
+		ch := make(chan result)
+		go func() {
+			u := NewUnwinder()
+			var r result
+			_ = atDepth(depth, func() error {
+				for _, capture := range []func(*Unwinder) PathID{callSiteA, callSiteB, callSiteA} {
+					r.ids = append(r.ids, capture(u))
+				}
+				return nil
+			})
+			for _, id := range r.ids {
+				r.frames = append(r.frames, u.Frames(id))
+			}
+			ch <- r
+		}()
+		return <-ch
+	}
+	shallow, deep := run(0), run(9)
+	for i := range shallow.ids {
+		if shallow.ids[i] == 0 {
+			t.Fatalf("capture %d returned the zero path", i)
+		}
+		if shallow.ids[i] != deep.ids[i] {
+			t.Errorf("capture %d: path ID %d at one depth, %d at another", i, shallow.ids[i], deep.ids[i])
+		}
+		if !slices.Equal(shallow.frames[i], deep.frames[i]) {
+			t.Errorf("capture %d: frames differ:\n%v\nvs\n%v", i, shallow.frames[i], deep.frames[i])
+		}
 	}
 }

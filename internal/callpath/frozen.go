@@ -2,76 +2,42 @@ package callpath
 
 import "strings"
 
-// Resolver resolves interned path IDs into frames. The live Unwinder
-// implements it for in-process profiles; Frozen implements it for profiles
-// loaded from disk, where program counters are meaningless and only the
-// resolved frames survive.
+// Resolver resolves interned path IDs into frames, leaf first (nil for the
+// zero ID). The live Unwinder implements it for in-process profiles; Frozen
+// implements it for profiles loaded from disk, where program counters are
+// meaningless and only the resolved frames survive.
 type Resolver interface {
-	// Frames returns the path's frames, leaf first (nil for the zero ID).
 	Frames(id PathID) []Frame
-	// Leaf returns the innermost frame.
-	Leaf(id PathID) (Frame, bool)
-	// Format renders the path as an indented multi-line string.
-	Format(id PathID) string
-	// FormatTrimmed is Format with frames from the given function-name
-	// prefixes dropped.
-	FormatTrimmed(id PathID, dropPrefixes ...string) string
 }
 
 var (
 	_ Resolver = (*Unwinder)(nil)
-	_ Resolver = (*Frozen)(nil)
+	_ Resolver = Frozen(nil)
 )
 
-// Export resolves every interned path into frames, keyed by path ID — the
-// serializable form of the calling-context tree.
-func (u *Unwinder) Export() map[PathID][]Frame {
-	out := make(map[PathID][]Frame, len(u.nodes)-1)
-	for id := 1; id < len(u.nodes); id++ {
-		out[PathID(id)] = u.Frames(PathID(id))
-	}
-	return out
-}
-
-// Frozen is a Resolver over pre-resolved frames (a loaded profile).
-type Frozen struct {
-	paths map[PathID][]Frame
-}
-
-// NewFrozen builds a resolver from exported frames. The map is retained.
-func NewFrozen(paths map[PathID][]Frame) *Frozen {
-	if paths == nil {
-		paths = map[PathID][]Frame{}
-	}
-	return &Frozen{paths: paths}
-}
+// Frozen is a Resolver over pre-resolved frames (a loaded profile): the
+// frames each path was saved with, cut or not.
+type Frozen map[PathID][]Frame
 
 // Frames implements Resolver.
-func (f *Frozen) Frames(id PathID) []Frame { return f.paths[id] }
+func (f Frozen) Frames(id PathID) []Frame { return f[id] }
 
-// Leaf implements Resolver.
-func (f *Frozen) Leaf(id PathID) (Frame, bool) {
-	fr := f.paths[id]
-	if len(fr) == 0 {
+// Leaf returns a path's innermost frame: the program's call into the
+// simulated runtime.
+func Leaf(r Resolver, id PathID) (Frame, bool) {
+	frames := r.Frames(id)
+	if len(frames) == 0 {
 		return Frame{}, false
 	}
-	return fr[0], true
+	return frames[0], true
 }
 
-// Format implements Resolver.
-func (f *Frozen) Format(id PathID) string {
-	return formatFrames(f.Frames(id))
-}
-
-// FormatTrimmed implements Resolver.
-func (f *Frozen) FormatTrimmed(id PathID, dropPrefixes ...string) string {
-	return formatFrames(trimFrames(f.Frames(id), dropPrefixes))
-}
-
-// formatFrames renders frames leaf first with increasing indentation.
-func formatFrames(frames []Frame) string {
+// Format renders a path as a multi-line string, leaf first, indenting each
+// caller one step — the layout DrGPUM's GUI uses in its detail pane. Every
+// export prints paths with it.
+func Format(r Resolver, id PathID) string {
 	var b strings.Builder
-	for i, fr := range frames {
+	for i, fr := range r.Frames(id) {
 		if i > 0 {
 			b.WriteByte('\n')
 		}
@@ -79,19 +45,4 @@ func formatFrames(frames []Frame) string {
 		b.WriteString(fr.String())
 	}
 	return b.String()
-}
-
-// trimFrames drops frames whose function matches any prefix.
-func trimFrames(frames []Frame, dropPrefixes []string) []Frame {
-	var kept []Frame
-frameLoop:
-	for _, fr := range frames {
-		for _, p := range dropPrefixes {
-			if strings.HasPrefix(fr.Function, p) {
-				continue frameLoop
-			}
-		}
-		kept = append(kept, fr)
-	}
-	return kept
 }

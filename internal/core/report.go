@@ -10,6 +10,7 @@ import (
 	"unicode/utf8"
 
 	"drgpum/internal/advisor"
+	"drgpum/internal/callpath"
 	"drgpum/internal/costmodel"
 	"drgpum/internal/depgraph"
 	"drgpum/internal/gpu"
@@ -134,8 +135,9 @@ type Advice struct {
 	Pattern string
 	// Object is the affected data object's display name.
 	Object string
-	// AllocSite is the leaf frame of the object's allocation call path
-	// (empty when unresolvable).
+	// AllocSite is the first program frame of the object's allocation
+	// call path: the program's call into the GPU API or the pool in front
+	// of it (empty when unresolvable).
 	AllocSite string
 	// Kernel names the kernel evidencing an intra-object or cost-model
 	// pattern (empty for lifetime patterns).
@@ -183,7 +185,7 @@ func (r *Report) Advice() []Advice {
 		if f.PeakSavingsBytes > 0 {
 			a.BytesSaved = f.PeakSavingsBytes
 		}
-		if leaf, ok := r.Trace.Unwinder.Leaf(o.AllocPath); ok {
+		if leaf, ok := callpath.Leaf(r.Trace.Unwinder, o.AllocPath); ok {
 			a.AllocSite = leaf.String()
 		}
 		out = append(out, a)
@@ -275,7 +277,7 @@ func (r *Report) Render(w io.Writer, verbose bool) {
 		_, _ = w.Write(line)
 		if verbose {
 			fmt.Fprintf(w, "      allocated at:\n%s\n",
-				indent(r.Trace.Unwinder.FormatTrimmed(o.AllocPath, "drgpum/internal/gpu.", "drgpum/internal/trace.", "drgpum/internal/core."), "        "))
+				indent(callpath.Format(r.Trace.Unwinder, o.AllocPath), "        "))
 		}
 	}
 
@@ -523,7 +525,7 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 		for _, api := range f.APIs {
 			jf.APIs = append(jf.APIs, r.Trace.API(api).Label())
 		}
-		if leaf, ok := r.Trace.Unwinder.Leaf(o.AllocPath); ok {
+		if leaf, ok := callpath.Leaf(r.Trace.Unwinder, o.AllocPath); ok {
 			jf.AllocSite = leaf.String()
 		}
 		jr.Findings = append(jr.Findings, jf)

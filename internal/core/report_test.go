@@ -111,10 +111,10 @@ func TestRenderVerboseIncludesCallPaths(t *testing.T) {
 	if strings.Contains(terse.String(), "allocated at:") {
 		t.Error("terse render leaked call paths")
 	}
-	// Profiler-internal frames (including this package, where the fixture
-	// lives) are trimmed; the surviving frames are the caller's context.
+	// Simulator frames are cut at capture; with no workload entry on the
+	// stack, the path runs out to the test harness.
 	if strings.Contains(verbose.String(), "internal/gpu.") {
-		t.Error("render leaked profiler-internal frames")
+		t.Error("render leaked simulator frames")
 	}
 	if !strings.Contains(verbose.String(), "testing.tRunner") {
 		t.Error("call path lost the application frames entirely")

@@ -400,11 +400,11 @@ func (e *Engine) runOne(s RunSpec) (Result, runKind) {
 func (e *Engine) execObserved(s RunSpec) Result {
 	master := e.cfg.Obs
 	if !master.Enabled() {
-		return runDetached(s, nil)
+		return exec(s, nil)
 	}
 	runRec := obs.New()
 	sp := master.Root().Child("engine").Child(s.Mode.String()).Start()
-	res := runDetached(s, runRec)
+	res := exec(s, runRec)
 	sp.End()
 	master.Merge(runRec.Snapshot())
 	return res

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"drgpum/internal/baselines"
+	"drgpum/internal/callpath"
 	"drgpum/internal/core"
 	"drgpum/internal/gpu"
 	"drgpum/internal/memcheck"
@@ -13,22 +14,6 @@ import (
 	"drgpum/internal/workloads"
 )
 
-// runDetached executes one run body on a fresh goroutine and waits for
-// it. The detour is not about concurrency — the caller blocks — but
-// about the call stack: the profiler interns full host call paths
-// (internal/callpath), and a goroutine spawned here always has the same
-// fixed stack base under the workload frames. Without it, the same run
-// submitted from the drgpum CLI's main goroutine, a parallel pool
-// worker, or a drgpum-serve session goroutine would intern different
-// path tables, and the profile/GUI exports — which serialize those
-// tables — would not be byte-identical across submitting contexts (the
-// serve contract tests pin that identity over HTTP).
-func runDetached(s RunSpec, rec *obs.Recorder) Result {
-	ch := make(chan Result, 1)
-	go func() { ch <- exec(s, rec) }()
-	return <-ch
-}
-
 // exec dispatches one run body. Every body builds its own gpu.Device, so
 // runs are fully independent; the wall clock starts after device
 // construction (matching the overhead figure's methodology) and, for
@@ -36,8 +21,7 @@ func runDetached(s RunSpec, rec *obs.Recorder) Result {
 // profiling cost the paper measures. rec is the run's private
 // self-observability recorder (nil when the engine has none): profile
 // runs record into it, baselines runs record the memory-safety checker's
-// scan, and native runs have nothing to record. Every profiled run's call
-// paths embed this switch's default case, so it stays on its line.
+// scan, and native runs have nothing to record.
 func exec(s RunSpec, rec *obs.Recorder) Result {
 	switch s.Mode {
 	case ModeNative:
@@ -69,7 +53,8 @@ func execProfile(s RunSpec, rec *obs.Recorder) Result {
 	}
 	// core.Attach decides whether the run pipelines its ingest.
 	prof := core.Attach(dev, cfg)
-	if err := s.Workload.Run(dev, prof, s.Variant); err != nil {
+	// Entered through callpath.Enter, the run's call paths end at the workload.
+	if err := callpath.Enter(func() error { return s.Workload.Run(dev, prof, s.Variant) }); err != nil {
 		dev.StopPipelinedIngest() // no Finish on this path: join the consumer here
 		return Result{Err: fmt.Errorf("%s (%s): %w", s.Workload.Name, s.Variant, err)}
 	}
@@ -102,7 +87,7 @@ func execBaselines(s RunSpec, rec *obs.Recorder) Result {
 	vex := baselines.NewValueExpert()
 	dev.AddHook(vex)
 	dev.SetPatchLevel(gpu.PatchFull)
-	if err := s.Workload.Run(dev, checkerHost{c}, s.Variant); err != nil {
+	if err := callpath.Enter(func() error { return s.Workload.Run(dev, checkerHost{c}, s.Variant) }); err != nil {
 		return Result{Err: fmt.Errorf("%s (%s) baselines: %w", s.Workload.Name, s.Variant, err)}
 	}
 	return Result{ValueExpert: vex.DetectedPatterns(), Memcheck: c.Report()}

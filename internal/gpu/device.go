@@ -85,10 +85,12 @@ type Hook interface {
 	// after a GPU API completes, so implementations may unwind the host call
 	// path with runtime.Callers.
 	OnAPI(rec *APIRecord)
-	// OnAccessBatch delivers an instrumented kernel's accesses in a reused slice; copy what you keep.
-	// Full batches may arrive on another goroutine while the kernel body runs, so share no
-	// unsynchronized state with kernel bodies; a launch's last, partial batch arrives on the calling
-	// goroutine. rec is the in-progress kernel record (Reads/Writes/EndCycle are not final yet).
+	// OnAccessBatch delivers an instrumented kernel's accesses in a
+	// reused slice; copy what you keep. Full batches may arrive on another
+	// goroutine while the kernel body runs, so share no unsynchronized
+	// state with kernel bodies; a launch's last, partial batch arrives on
+	// the calling goroutine. rec is the in-progress kernel record
+	// (Reads/Writes/EndCycle are not final yet).
 	OnAccessBatch(rec *APIRecord, batch []MemAccess)
 }
 

@@ -21,6 +21,7 @@ import (
 	"io"
 	"sort"
 
+	"drgpum/internal/callpath"
 	"drgpum/internal/core"
 	"drgpum/internal/obs"
 	"drgpum/internal/pattern"
@@ -103,7 +104,7 @@ func Export(rep *core.Report, w io.Writer) error {
 			"api":       a.Rec.Name,
 			"kind":      a.Rec.Kind.String(),
 			"topo":      a.Topo,
-			"call_path": rep.Trace.Unwinder.FormatTrimmed(a.Path, "drgpum/internal"),
+			"call_path": callpath.Format(rep.Trace.Unwinder, a.Path),
 		}
 		if a.Rec.Size > 0 {
 			args["bytes"] = a.Rec.Size
@@ -159,7 +160,7 @@ func Export(rep *core.Report, w io.Writer) error {
 		args := map[string]any{
 			"bytes":      o.Size,
 			"range":      o.Range().String(),
-			"alloc_site": rep.Trace.Unwinder.FormatTrimmed(o.AllocPath, "drgpum/internal"),
+			"alloc_site": callpath.Format(rep.Trace.Unwinder, o.AllocPath),
 		}
 		if fs := byObject[id]; len(fs) > 0 {
 			args["patterns"] = patternLines(rep, fs)

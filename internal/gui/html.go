@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"drgpum/internal/callpath"
 	"drgpum/internal/core"
 	"drgpum/internal/pattern"
 )
@@ -164,8 +165,7 @@ func buildHTMLData(rep *core.Report) *htmlData {
 			Distance:   f.Distance,
 			OnPeak:     f.OnPeak,
 			Suggestion: f.Suggestion,
-			AllocPath: rep.Trace.Unwinder.FormatTrimmed(o.AllocPath,
-				"drgpum/internal", "testing.", "runtime."),
+			AllocPath:  callpath.Format(rep.Trace.Unwinder, o.AllocPath),
 		}
 		switch f.Pattern {
 		case pattern.Overallocation:

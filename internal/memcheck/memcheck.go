@@ -221,9 +221,8 @@ func (c *Checker) Annotate(ptr gpu.DevicePtr, label string) {
 	}
 }
 
-// OnAPI implements gpu.Hook. The skip of 2 mirrors the trace collector: it
-// drops OnAPI itself and Device.emit, so the captured leaf is the
-// application's call into the GPU API.
+// OnAPI implements gpu.Hook. Like the trace collector's, its captured
+// paths lead with the application's call into the GPU API.
 func (c *Checker) OnAPI(rec *gpu.APIRecord) {
 	switch rec.Kind {
 	case gpu.APIMalloc:
@@ -234,7 +233,7 @@ func (c *Checker) OnAPI(rec *gpu.APIRecord) {
 			ptr:       rec.Ptr,
 			size:      rec.Size,
 			seq:       uint64(len(c.order)) + 1,
-			allocPath: c.paths.Capture(2),
+			allocPath: c.paths.Capture(),
 		}
 		if c.cfg.UninitReads {
 			a.shadow = intraobj.NewBitmap(int(rec.Size))
@@ -251,7 +250,7 @@ func (c *Checker) OnAPI(rec *gpu.APIRecord) {
 			return
 		}
 		a.freed = true
-		a.freePath = c.paths.Capture(2)
+		a.freePath = c.paths.Capture()
 		delete(c.allocs, rec.Ptr)
 		c.removeLive(a)
 		c.frees[a.ptr] = a
@@ -259,7 +258,7 @@ func (c *Checker) OnAPI(rec *gpu.APIRecord) {
 	case gpu.APIMemcpy, gpu.APIMemset:
 		c.markWritten(rec.Writes)
 	case gpu.APIKernel:
-		launch := c.paths.Capture(2)
+		launch := c.paths.Capture()
 		if !rec.Instrumented {
 			// No per-access stream for this launch: mark the kernel's
 			// object-granularity write set so later reads of those objects

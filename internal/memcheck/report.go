@@ -10,18 +10,6 @@ import (
 	"drgpum/internal/gpu"
 )
 
-// trimPrefixes are the runtime frames dropped from rendered call paths, so
-// reports lead with application code (the same policy as the profiler's
-// object report).
-var trimPrefixes = []string{
-	"drgpum/internal/gpu.",
-	"drgpum/internal/memcheck.",
-	"drgpum/internal/core.",
-	"drgpum/internal/trace.",
-	"runtime.",
-	"testing.",
-}
-
 // ObjectRef identifies the allocation an issue is about. Seq is 0 for wild
 // accesses that hit no live or quarantined allocation.
 type ObjectRef struct {
@@ -96,7 +84,7 @@ func (c *Checker) Report() *Report {
 			Class:     ClassLeak,
 			Count:     1,
 			Object:    objRef(a),
-			AllocPath: c.render(a.allocPath),
+			AllocPath: callpath.Format(c.paths, a.allocPath),
 		})
 		r.LeakBytes += a.size
 	}
@@ -126,20 +114,16 @@ func (c *Checker) export(is *issue) Issue {
 		Count:          is.count,
 		Kernel:         is.key.kernel,
 		UnwrittenBytes: is.unwritten,
-		AccessPath:     c.render(is.accessPath),
+		AccessPath:     callpath.Format(c.paths, is.accessPath),
 	}
 	if is.obj != nil {
 		out.Object = objRef(is.obj)
-		out.AllocPath = c.render(is.obj.allocPath)
+		out.AllocPath = callpath.Format(c.paths, is.obj.allocPath)
 		if is.obj.freed {
-			out.FreePath = c.render(is.obj.freePath)
+			out.FreePath = callpath.Format(c.paths, is.obj.freePath)
 		}
 	}
 	return out
-}
-
-func (c *Checker) render(id callpath.PathID) string {
-	return c.paths.FormatTrimmed(id, trimPrefixes...)
 }
 
 func objRef(a *allocation) ObjectRef {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"drgpum/internal/callpath"
 	"drgpum/internal/core"
 	"drgpum/internal/engine"
 	"drgpum/internal/gpu"
@@ -27,7 +28,9 @@ func observedRun(t *testing.T, name string) (stats, guiJSON []byte) {
 	cfg.KernelWhitelist = w.IntraKernels
 	cfg.Obs = obs.New()
 	prof := core.Attach(dev, cfg)
-	if err := w.Run(dev, prof, workloads.VariantNaive); err != nil {
+	// Entered like an engine run, so the GUI's call paths name the
+	// workload's frames only, not the line of this test that ran it.
+	if err := callpath.Enter(func() error { return w.Run(dev, prof, workloads.VariantNaive) }); err != nil {
 		t.Fatal(err)
 	}
 	rep := prof.Finish()

@@ -283,7 +283,7 @@ func Load(r io.Reader) (*trace.Trace, Meta, error) {
 		paths[callpath.PathID(id)] = fs
 	}
 
-	t := &trace.Trace{Unwinder: callpath.NewFrozen(paths)}
+	t := &trace.Trace{Unwinder: callpath.Frozen(paths)}
 	for i, a := range f.APIs {
 		if a.Index != uint64(i) {
 			return nil, Meta{}, fmt.Errorf("profile: API %d out of order (index %d)", i, a.Index)

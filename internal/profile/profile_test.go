@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"drgpum/internal/callpath"
 	"drgpum/internal/core"
 	"drgpum/internal/gpu"
 	"drgpum/internal/pattern"
@@ -92,7 +93,7 @@ func TestProfileRoundtrip(t *testing.T) {
 	if o.AllocPath == 0 {
 		t.Fatal("loaded object lost its alloc path")
 	}
-	path := rep2.Trace.Unwinder.Format(o.AllocPath)
+	path := callpath.Format(rep2.Trace.Unwinder, o.AllocPath)
 	if !strings.Contains(path, "profile_test.go") && !strings.Contains(path, "record") {
 		t.Errorf("loaded call path unusable:\n%s", path)
 	}

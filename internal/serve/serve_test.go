@@ -184,8 +184,8 @@ func TestSessionLifecycle(t *testing.T) {
 // configuration: a fresh private engine (every offline CLI profiles
 // through the engine), distinct from the server's engine so the
 // comparison runs two real executions rather than aliasing one cached
-// report. The engine executes every body on a normalized stack base,
-// which is exactly why the bytes can match across contexts.
+// report. Call paths are cut at the workload's entry when captured, so
+// the bytes match whichever goroutine ran the body.
 func offlineReport(t *testing.T, w *workloads.Workload, v workloads.Variant, level gpu.PatchLevel, sampling int) *core.Report {
 	t.Helper()
 	res, err := engine.New(engine.Config{}).Run([]engine.RunSpec{{

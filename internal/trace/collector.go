@@ -110,9 +110,6 @@ func (c *Collector) Trace() *Trace { return c.trace }
 // MemoryMap exposes the live-object map (used by the custom-pool bridge).
 func (c *Collector) MemoryMap() *MemoryMap { return c.mmap }
 
-// Unwinder returns the call-path interner shared with the trace.
-func (c *Collector) Unwinder() *callpath.Unwinder { return c.unwinder }
-
 // Annotate attaches an application-facing label and element size to the live
 // object based at ptr. Element size 0 keeps the default. Annotation is how
 // workloads give objects the names the paper's reports use (q_dx,
@@ -178,9 +175,9 @@ func (c *Collector) OnAPI(rec *gpu.APIRecord) {
 	sp := c.obsAPINode.Start()
 	info := &APIInfo{
 		Rec: rec,
-		// Skip OnAPI and the device's emit helper so the leaf frame is the
-		// device API (Malloc/Launch/...) call site in application code.
-		Path: c.unwinder.Capture(2),
+		// The leaf is the application's call into the device API
+		// (Malloc/Launch/...) or into a pool in front of it.
+		Path: c.unwinder.Capture(),
 		// Provisional timestamp: invocation order. The dependency pass
 		// overwrites this for multi-stream programs.
 		Topo: rec.Index,
