@@ -21,10 +21,12 @@ test:
 	$(GO) test ./...
 
 # cpu1 reruns the determinism and stats byte-identity tests at GOMAXPROCS
-# 1, where core.Attach delivers every access batch inline: with a second
-# core it pipelines ingest, so the full suite on a multi-core host never
-# takes the synchronous default. The environment variable reaches the CLI
-# processes the clitest package starts; -cpu 1 sets the test binaries.
+# 1, where core.Attach delivers every access batch inline and the device
+# charges the cost model inline: with a second core it pipelines every
+# profiled run, object level included, so the full suite on a multi-core
+# host never takes the synchronous default. The environment variable
+# reaches the CLI processes the clitest package starts; -cpu 1 sets the
+# test binaries.
 cpu1:
 	@echo "== cpu1 (GOMAXPROCS 1: synchronous ingest) =="
 	GOMAXPROCS=1 $(GO) test -cpu 1 -run 'Determinism|SnapshotThenFinish|StatsFlag' ./internal/core ./internal/obs ./internal/clitest

@@ -1,6 +1,7 @@
 package clitest
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,35 @@ func TestOverheadStatsFlag(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-stats output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDrgpumStatsFlagAcrossCores pins that -stats does not depend on the
+// core count: at GOMAXPROCS 2 every profiled run hands its full batches
+// of access records to a consumer goroutine, batches recorded only for
+// the cost model included, and at GOMAXPROCS 1 it delivers inline, yet
+// pipeline/batches counts only the batches that reach the hooks, so both
+// print the same bytes at either analysis level.
+func TestDrgpumStatsFlagAcrossCores(t *testing.T) {
+	for _, w := range []string{"rodinia/huffman", "darknet"} {
+		for _, mode := range []string{"object", "intra"} {
+			var outs [2]string
+			for i, procs := range []string{"1", "2"} {
+				cmd := command(t, "drgpum", "-workload", w, "-mode", mode, "-stats")
+				cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)
+				out, err := cmd.Output()
+				if err != nil {
+					t.Fatalf("drgpum -workload %s -mode %s -stats at GOMAXPROCS %s: %v", w, mode, procs, err)
+				}
+				outs[i] = string(out)
+			}
+			if !strings.Contains(outs[0], "self-observability") {
+				t.Fatalf("%s -mode %s -stats printed no summary:\n%s", w, mode, outs[0])
+			}
+			if outs[0] != outs[1] {
+				t.Errorf("%s -mode %s -stats differs between GOMAXPROCS 1 and 2:\n--- 1\n%s\n--- 2\n%s", w, mode, outs[0], outs[1])
+			}
 		}
 	}
 }

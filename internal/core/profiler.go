@@ -66,8 +66,8 @@ type Config struct {
 	Streaming StreamingConfig
 	// PipelinedIngest has no effect.
 	//
-	// Deprecated: Attach pipelines ingest on its own whenever the run is
-	// intra-object and a second core is free (see Attach).
+	// Deprecated: Attach pipelines ingest on its own whenever a second
+	// core is free, at either analysis level (see Attach).
 	PipelinedIngest bool
 	// PipelineShards has no effect.
 	//
@@ -160,12 +160,14 @@ type Profiler struct {
 // the configured level. It must be called before the monitored GPU activity
 // starts; APIs invoked earlier are not observed.
 //
-// When the run is intra-object and GOMAXPROCS is 2 or more, Attach also
-// starts pipelined ingest (gpu.Device.StartPipelinedIngest): the device
-// hands each full access batch to a consumer goroutine and keeps
-// simulating while the hooks run there. Reports are byte-identical either
-// way. Finish stops the consumer; a run abandoned without Finish must call
-// the device's StopPipelinedIngest itself.
+// When GOMAXPROCS is 2 or more, Attach also arms pipelined ingest
+// (gpu.Device.StartPipelinedIngest), at either analysis level: the device
+// hands each full batch of access records to a consumer goroutine, which
+// charges the cost model from it and runs the hooks while the device keeps
+// simulating. At object level the records exist only for the cost model.
+// The first full batch starts the consumer. Reports are byte-identical
+// either way. Finish stops the consumer; a run abandoned without Finish
+// must call the device's StopPipelinedIngest itself.
 func Attach(dev *gpu.Device, cfg Config) *Profiler {
 	p := &Profiler{dev: dev, cfg: cfg, collector: trace.NewCollector(), obs: cfg.Obs}
 	attachSpan := p.obs.Root().Child("attach").Start()
@@ -208,12 +210,13 @@ func Attach(dev *gpu.Device, cfg Config) *Profiler {
 	return p
 }
 
-// pipelines reports whether Attach starts pipelined ingest: the run must
-// be intra-object, the level that delivers access batches to the hooks
-// (host-trace object IDs at object level deliver some too, but stay
-// inline), and a second core must be free for the consumer goroutine.
+// pipelines reports whether Attach arms pipelined ingest: the run must be
+// profiled, at either level, and a second core must be free for the
+// consumer goroutine. On one CPU the consumer could only take turns with
+// the simulator, so the device charges the cost model inline and delivers
+// every batch inline there.
 func pipelines(cfg Config) bool {
-	return cfg.Level == gpu.PatchFull && runtime.GOMAXPROCS(0) >= 2
+	return cfg.Level >= gpu.PatchAPI && runtime.GOMAXPROCS(0) >= 2
 }
 
 // Observability returns the configured self-observability recorder (nil

@@ -18,9 +18,13 @@
 //
 // Everything is integer arithmetic over the recorded addresses — no
 // clocks, no randomness — so the model is byte-identical across the
-// sequential, parallel, pipelined and streaming profiling modes: the
-// simulator executes kernel bodies synchronously on the calling
-// goroutine in every mode, and the tracker only ever runs there.
+// sequential, parallel, pipelined and streaming profiling modes: it
+// depends only on the order of the accesses it is charged with, and
+// every mode charges them in program order. A device charges a Tracker
+// on one goroutine at a time: inline on the simulating goroutine, or,
+// with pipelined ingest armed, from the launch's access records on the
+// pipeline consumer for each full batch and on the simulating goroutine
+// for the launch's last batch, after the consumer has drained.
 //
 // The package is deliberately pure: it knows nothing about the gpu or
 // trace packages (addresses are plain uint64), which is what lets the
@@ -333,7 +337,8 @@ type Tracker struct {
 
 // NewTracker prepares cost accounting for a launch over a hit table of
 // the given size. l2 is the device's persistent cache (may be shared
-// across launches; the tracker only runs on the launching goroutine).
+// across launches; the tracker and its caches are not safe for
+// concurrent use, so its owner charges them on one goroutine at a time).
 // NewTracker panics on a spec whose geometry the model cannot represent:
 // SectorBytes, LineBytes and L1Sets must be powers of two, LineBytes at
 // least SectorBytes, and WarpSize at least 1.
@@ -368,7 +373,8 @@ func (t *Tracker) Reset(entries int) {
 }
 
 // Access records one memory instruction against a hit-table entry. It
-// sits on the simulator's hot access path: an access that stays inside
+// sits on the hot access path, the simulator's or, with pipelined ingest,
+// the pipeline consumer's: an access that stays inside
 // one sector of its group's window, as nearly all do, costs a shift, a
 // bit test (and set, for a new sector) and a few compares and adds. Any
 // other access, the first of a group, one that crosses a sector boundary

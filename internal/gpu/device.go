@@ -151,10 +151,14 @@ type Device struct {
 
 	// costTracker, when non-nil, runs the memory-hierarchy cost model
 	// configured by costSpec: one tracker, reset at every launch, holds
-	// the per-launch L1 and the persistent L2. It is only touched on the
-	// launching goroutine (kernel bodies always execute inline), which
-	// keeps the model byte-identical across the sequential/pipelined/
-	// streaming profiling modes.
+	// the per-launch L1 and the persistent L2. Without pipelined ingest
+	// it is charged inline on the launching goroutine. With it, the
+	// consumer goroutine charges it from each full batch of the launch's
+	// access records, and the launching goroutine charges the last batch
+	// after the drain, then closes the launch. The drain orders the two,
+	// so the tracker sees every access in program order on either path,
+	// which keeps the model byte-identical across the sequential/
+	// pipelined/streaming profiling modes.
 	costSpec    costmodel.Spec
 	costTracker *costmodel.Tracker
 }

@@ -200,6 +200,11 @@ type MemAccess struct {
 	// records all carry 0, and a consumer that needs the object resolves
 	// the address itself.
 	Tag uint32
+	// row is the hit-table row the device resolved the access to, plus
+	// one, so that 0 means none, as for Tag. The pipeline consumer charges
+	// the cost model from it (see pipeline.go); a record pushed only for
+	// the model never reaches the hooks.
+	row int32
 }
 
 // Dim3 is a CUDA-style launch dimension.

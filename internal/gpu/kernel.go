@@ -60,7 +60,8 @@ type rowSlot struct {
 // ExecContext is the device-side execution environment handed to a kernel.
 // All loads and stores must go through it; it performs bounds resolution,
 // charges the cost model, maintains hit flags (object-level analysis) and
-// streams access records (intra-object analysis).
+// streams access records (intra-object analysis, and the cost model's own
+// records while pipelined ingest is armed).
 type ExecContext struct {
 	dev *Device
 	rec *APIRecord
@@ -84,10 +85,20 @@ type ExecContext struct {
 
 	instrumented bool
 	hostTrace    bool // ObjectIDHostTrace mode: ship every access to the host
+	// hooks is set when the launch's records reach the hooks: the launch
+	// is instrumented or host-trace.
+	hooks bool
+	// rows is set when every access that resolves to a row is recorded:
+	// the launch is instrumented, or costRecs is set.
+	rows bool
 
-	// cost, when non-nil, runs the memory-hierarchy cost model over this
-	// launch's accesses, keyed by hit-table entry (see Device.SetCostModel).
-	cost *costmodel.Tracker
+	// cost, when non-nil, runs the memory-hierarchy cost model inline over
+	// this launch's accesses, keyed by hit-table entry (see
+	// Device.SetCostModel). costRecs, when non-nil, is the same tracker
+	// charged from the launch's access records instead, on the pipeline
+	// consumer for full batches (see pipeline.go). At most one is set.
+	cost     *costmodel.Tracker
+	costRecs *costmodel.Tracker
 
 	shared []byte
 
@@ -206,7 +217,7 @@ func (c *ExecContext) backing(b *block, addr DevicePtr, size uint32, kind Access
 // Native and host-trace accesses find their bytes with Allocator.lookup. A
 // profiled access resolves its hit-table row once, and the row gives the
 // hit flag, the cost-model entry, the backing bytes and the record's object
-// tag.
+// tag and row.
 func (c *ExecContext) access(addr DevicePtr, size uint32, kind AccessKind) []byte {
 	c.accessCycles += c.dev.spec.GlobalLatency
 	if c.dev.patch == PatchNone {
@@ -214,7 +225,9 @@ func (c *ExecContext) access(addr DevicePtr, size uint32, kind AccessKind) []byt
 	}
 	if c.hostTrace {
 		data := c.backing(c.dev.alloc.lookup(addr), addr, size, kind)
-		c.dev.pushAccess(c.rec, addr, size, kind, SpaceGlobal, 0)
+		if c.dev.pushAccess(addr, size, kind, SpaceGlobal, 0, 0) {
+			c.flush()
+		}
 		return data
 	}
 	i, b := c.resolve(addr)
@@ -222,22 +235,23 @@ func (c *ExecContext) access(addr DevicePtr, size uint32, kind AccessKind) []byt
 		b = c.dev.alloc.lookup(addr)
 	}
 	data := c.backing(b, addr, size, kind)
-	if c.instrumented {
-		var tag uint32
-		if i >= 0 {
-			tag = c.table[i].tag
+	if i < 0 {
+		if c.instrumented && c.dev.pushAccess(addr, size, kind, SpaceGlobal, 0, 0) {
+			c.flush()
 		}
-		c.dev.pushAccess(c.rec, addr, size, kind, SpaceGlobal, tag)
+		return data
 	}
-	if i >= 0 {
-		if kind == AccessRead {
-			c.table[i].readHit = true
-		} else {
-			c.table[i].writeHit = true
-		}
-		if c.cost != nil {
-			c.cost.Access(i, uint64(addr), size)
-		}
+	e := &c.table[i]
+	if kind == AccessRead {
+		e.readHit = true
+	} else {
+		e.writeHit = true
+	}
+	if c.rows && c.dev.pushAccess(addr, size, kind, SpaceGlobal, e.tag, int32(i)+1) {
+		c.flush()
+	}
+	if c.cost != nil {
+		c.cost.Access(i, uint64(addr), size)
 	}
 	return data
 }
@@ -245,10 +259,13 @@ func (c *ExecContext) access(addr DevicePtr, size uint32, kind AccessKind) []byt
 // sharedAccess charges and (at PatchFull) records a shared-memory access.
 func (c *ExecContext) sharedAccess(off int, size uint32, kind AccessKind) {
 	c.accessCycles += c.dev.spec.SharedLatency
-	if c.instrumented {
-		c.dev.pushAccess(c.rec, DevicePtr(off), size, kind, SpaceShared, 0)
+	if c.instrumented && c.dev.pushAccess(DevicePtr(off), size, kind, SpaceShared, 0, 0) {
+		c.flush()
 	}
 }
+
+// flush delivers the launch's full access buffer.
+func (c *ExecContext) flush() { c.dev.flushAccesses(c.rec, c.hooks, c.costRecs) }
 
 // Read copies len(buf) bytes from device memory into buf. Out-of-bounds
 // reads yield zeros and record a fault.
@@ -364,50 +381,74 @@ func (c *ExecContext) SharedStoreF32(off int, v float32) {
 	binary.LittleEndian.PutUint32(c.shared[off:], math.Float32bits(v))
 }
 
-// pushAccess appends an access to the simulated device-side buffer, flushing
-// it when it fills (paper §5.5: records are copied to the CPU when the
-// buffer is full). The fields are stored straight into the buffer: a record
-// built on the stack and copied in is reloaded by one wide load right after
-// its narrow field stores, which stalls on store forwarding.
-func (d *Device) pushAccess(rec *APIRecord, addr DevicePtr, size uint32, kind AccessKind, space MemSpace, tag uint32) {
+// pushAccess appends an access to the simulated device-side buffer and
+// reports whether the buffer is now full, in which case the caller flushes
+// it (paper §5.5: records are copied to the CPU when the buffer is full).
+// Leaving the flush to the caller keeps pushAccess small enough to inline
+// into every access. The fields are stored straight into the buffer: a
+// record built on the stack and copied in is reloaded by one wide load
+// right after its narrow field stores, which stalls on store forwarding.
+func (d *Device) pushAccess(addr DevicePtr, size uint32, kind AccessKind, space MemSpace, tag uint32, row int32) bool {
 	n := len(d.batch)
 	d.batch = d.batch[:n+1]
 	a := &d.batch[n]
-	a.Addr, a.Size, a.Kind, a.Space, a.Tag = addr, size, kind, space, tag
-	if n+1 == cap(d.batch) {
-		d.flushAccesses(rec)
-	}
+	a.Addr, a.Size, a.Kind, a.Space, a.Tag, a.row = addr, size, kind, space, tag, row
+	return n+1 == cap(d.batch)
 }
 
-// flushAccesses delivers a full buffer and resets it. With a pipeline
-// active the batch is handed to the consumer goroutine and the device keeps
-// simulating into a recycled buffer; otherwise the hooks run inline.
-func (d *Device) flushAccesses(rec *APIRecord) {
-	d.pipeStats.Batches++
+// flushAccesses delivers a full buffer and resets it. With pipelined
+// ingest armed the batch is handed to the consumer goroutine, which
+// charges cost, when non-nil, from the batch and runs the hooks when hooks
+// is set, and the device keeps simulating into a recycled buffer;
+// otherwise the hooks run inline (an unarmed device charges the model
+// inline, so cost is nil there). Only batches for the hooks are counted.
+func (d *Device) flushAccesses(rec *APIRecord, hooks bool, cost *costmodel.Tracker) {
+	if hooks {
+		d.pipeStats.Batches++
+	}
 	if p := d.pipe; p != nil {
-		d.batch = p.send(rec, d.batch)
+		d.batch = p.send(rec, d.batch, hooks, cost)
 		return
 	}
 	d.deliverAccesses(rec)
+	d.batch = d.batch[:0]
 }
 
 // flushTail delivers a launch's partial last batch on the simulating
-// goroutine, after the consumer has run every full batch the launch
-// handed off.
-func (d *Device) flushTail(rec *APIRecord) {
+// goroutine, after the consumer has charged and run every full batch the
+// launch handed off: it charges cost, when non-nil, from the tail, then
+// runs the hooks over it when hooks is set.
+func (d *Device) flushTail(rec *APIRecord, hooks bool, cost *costmodel.Tracker) {
 	d.pipe.drain()
-	if len(d.batch) > 0 {
+	if len(d.batch) == 0 {
+		return
+	}
+	if cost != nil {
+		chargeBatch(cost, d.batch)
+	}
+	if hooks {
 		d.deliverAccesses(rec)
 	}
+	d.batch = d.batch[:0]
 }
 
-// deliverAccesses runs the hooks over the buffered accesses and resets the
-// buffer.
+// deliverAccesses runs the hooks over the buffered accesses on the
+// simulating goroutine.
 func (d *Device) deliverAccesses(rec *APIRecord) {
 	for _, h := range d.hooks {
 		h.OnAccessBatch(rec, d.batch)
 	}
-	d.batch = d.batch[:0]
+}
+
+// chargeBatch charges the cost model with every record of batch that
+// resolved to a hit-table row, in record order: the sequence the inline
+// path charges access by access.
+func chargeBatch(t *costmodel.Tracker, batch []MemAccess) {
+	for i := range batch {
+		if a := &batch[i]; a.row != 0 {
+			t.Access(int(a.row-1), uint64(a.Addr), a.Size)
+		}
+	}
 }
 
 // Launch runs a kernel on the given stream (nil means the default stream).
@@ -430,6 +471,7 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 		grid:  grid,
 		block: block,
 	}
+	var tracker *costmodel.Tracker
 	if d.patch >= PatchAPI {
 		if d.objectID == ObjectIDHostTrace {
 			ctx.hostTrace = true
@@ -445,22 +487,35 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 			}
 			ctx.loadTable(live, tags, d.alloc.blocks)
 			if d.costTracker != nil && len(ctx.table) > 0 {
+				// The pipeline is idle here: every launch drains at its end.
 				d.costTracker.Reset(len(ctx.table))
-				ctx.cost = d.costTracker
+				tracker = d.costTracker
 			}
 		}
 		if d.patch == PatchFull {
 			ctx.instrumented = d.instrument == nil || d.instrument(k.Name(), launchNo)
 			rec.Instrumented = ctx.instrumented
 		}
+		// With pipelined ingest armed the model is charged from the
+		// launch's records, on the consumer for every full batch;
+		// otherwise inline, access by access.
+		if d.pipe != nil {
+			ctx.costRecs = tracker
+		} else {
+			ctx.cost = tracker
+		}
+		ctx.hooks = ctx.instrumented || ctx.hostTrace
+		ctx.rows = ctx.instrumented || ctx.costRecs != nil
 	}
 
 	k.Run(ctx)
-	// Drain, then deliver the last batch, before folding hit flags and
-	// emitting OnAPI: every OnAccessBatch for this kernel must precede its
-	// OnAPI, and the pipeline must be idle whenever application code runs
-	// between APIs (see pipeline.go's ordering contract).
-	d.flushTail(rec)
+	// Drain, then charge and deliver the last batch, before folding hit
+	// flags, closing the launch's cost and emitting OnAPI: every
+	// OnAccessBatch for this kernel must precede its OnAPI, the tracker
+	// must have seen every access, and the pipeline must be idle whenever
+	// application code runs between APIs (see pipeline.go's ordering
+	// contract).
+	d.flushTail(rec, ctx.hooks, ctx.costRecs)
 
 	if d.patch >= PatchAPI {
 		if ctx.hostTrace {
@@ -479,8 +534,8 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 		}
 	}
 
-	if ctx.cost != nil {
-		rec.Cost = ctx.cost.Finish(func(i int) uint64 { return uint64(ctx.table[i].rng.Addr) })
+	if tracker != nil {
+		rec.Cost = tracker.Finish(func(i int) uint64 { return uint64(ctx.table[i].rng.Addr) })
 	}
 
 	cost := d.spec.LaunchCycles + ctx.accessCycles + ctx.computeCycles

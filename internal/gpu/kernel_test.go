@@ -4,7 +4,17 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestMemAccessIs24Bytes pins the access record's size: an armed device
+// writes one per resolved access at either level, and the cost model's
+// row fills the four bytes of padding the record already had.
+func TestMemAccessIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(MemAccess{}); n != 24 {
+		t.Errorf("MemAccess is %d bytes, want 24", n)
+	}
+}
 
 func TestTypedLoadStoreRoundtrip(t *testing.T) {
 	dev := NewDevice(SpecTest())

@@ -117,9 +117,10 @@ func TestPipelineOrderingAndIdentity(t *testing.T) {
 
 // TestPipelineStatsAndLifecycle pins which batches are handed off — only
 // full ones — and the lifecycle calls: below one batch a launch hands
-// nothing off; at 2.5 batches it hands off exactly 2 and delivers its
-// tail inline on the launching goroutine. Stats count full batches
-// whether or not a pipeline is active, and double Start/Stop are no-ops.
+// nothing off and starts no consumer; at 2.5 batches it starts the
+// consumer, hands off exactly 2 and delivers its tail inline on the
+// launching goroutine. Stats count full batches whether or not a pipeline
+// is active, and double Start/Stop are no-ops.
 func TestPipelineStatsAndLifecycle(t *testing.T) {
 	dev := NewDevice(SpecTest())
 	h := &eventHook{}
@@ -138,9 +139,15 @@ func TestPipelineStatsAndLifecycle(t *testing.T) {
 			t.Fatalf("small kernels: batch %d handed off, want every batch inline", i)
 		}
 	}
+	if dev.pipe.tasks != nil {
+		t.Error("small kernels started the consumer, want it started by the first full batch")
+	}
 
 	h.where = nil
 	runPipelineWorkload(t, dev, 1, batchedKernelRecords)
+	if dev.pipe.tasks == nil {
+		t.Error("a 2.5-batch kernel left the consumer unstarted")
+	}
 	if len(h.where) != 3 || h.where[0] == self || h.where[1] == self || h.where[2] != self {
 		t.Errorf("a 2.5-batch kernel's batches ran on %v (launching goroutine %s), want 2 handed off and the tail inline", h.where, self)
 	}
@@ -195,9 +202,10 @@ func TestLateHookSeesEveryBatch(t *testing.T) {
 }
 
 // TestSpareBatchFreeList: a pipeline takes its spares from the free list
-// and Stop returns them, so the next pipeline reuses the same buffers; a
-// pipeline that overlaps another allocates its own, and the list never
-// holds more than maxSpareBatches.
+// at its first full batch and Stop returns them, so the next pipeline
+// reuses the same buffers; an armed pipeline that never fills a batch
+// takes none; a pipeline that overlaps another allocates its own, and the
+// list never holds more than maxSpareBatches.
 func TestSpareBatchFreeList(t *testing.T) {
 	for spareBatches.n > 0 {
 		takeSpareBatch()
@@ -220,13 +228,27 @@ func TestSpareBatchFreeList(t *testing.T) {
 	}
 
 	a := start()
+	runPipelineWorkload(t, a, 1, batchedKernelRecords)
 	a.StopPipelinedIngest()
 	first := spares()
 	if len(first) != maxSpareBatches {
 		t.Fatalf("after one pipeline the list holds %d spares, want %d", len(first), maxSpareBatches)
 	}
+	idle := start()
+	runPipelineWorkload(t, idle, 1, accessBatchSize-2)
+	if spareBatches.n != maxSpareBatches {
+		t.Errorf("an armed pipeline without a full batch left %d spares on the list, want all %d", spareBatches.n, maxSpareBatches)
+	}
+	idle.StopPipelinedIngest()
+	if spareBatches.n != maxSpareBatches {
+		t.Errorf("stopping an unstarted pipeline left %d spares on the list, want %d", spareBatches.n, maxSpareBatches)
+	}
 	b := start()
+	if spareBatches.n != maxSpareBatches {
+		t.Errorf("arming a pipeline took %d spares, want none before its first full batch", maxSpareBatches-spareBatches.n)
+	}
 	own := &b.batch[:1][0]
+	runPipelineWorkload(t, b, 1, accessBatchSize)
 	if spareBatches.n != 0 {
 		t.Errorf("a started pipeline left %d spares on the list, want it to take all %d", spareBatches.n, maxSpareBatches)
 	}
@@ -276,7 +298,7 @@ func TestPipelineHandoffAllocs(t *testing.T) {
 	rec := &APIRecord{Name: "allocs", Kind: APIKernel}
 	hand := func() {
 		dev.batch = append(dev.batch[:0], MemAccess{Addr: 64, Size: 4})
-		dev.batch = dev.pipe.send(rec, dev.batch)
+		dev.batch = dev.pipe.send(rec, dev.batch, true, nil)
 		dev.pipe.drain()
 	}
 	for i := 0; i < 32; i++ { // prime the free-list and warm the consumer

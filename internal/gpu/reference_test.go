@@ -253,13 +253,15 @@ const (
 	runScatter
 )
 
-// decodeRuns reads a run count (one byte, 1-6 runs) and the runs. Each run
-// header is four bytes:
+// decodeRuns reads a run header byte and the runs. The header's low six
+// bits modulo 6 are the run count less one (1-6 runs), and its top two
+// bits scale every run's access count by 1, 4, 16 or 64, enough for a
+// launch of several full access batches. Each run header is four bytes:
 //
 //	op:     bits 0-1 the shape (unit, strided, k-operand interleaved,
 //	        scatter), bit 2 a write instead of a read, bits 3-7 the
 //	        target;
-//	count:  count+1 accesses;
+//	count:  (count+1) times the scale accesses;
 //	size:   size%17 bytes, so accesses may be empty or straddle a row's
 //	        end;
 //	param:  the starting offset; for strided runs also the stride, for
@@ -274,8 +276,10 @@ func decodeRuns(r *fuzzBytes, targets []Range) []fuzzAccess {
 	at := func(t Range, off uint64, size uint32, kind AccessKind) {
 		accs = append(accs, fuzzAccess{addr: t.Addr - 16 + DevicePtr(off%(t.Size+32)), size: size, kind: kind})
 	}
-	for runs := 1 + r.next()%6; runs > 0; runs-- {
-		op, count, size, param := r.next(), 1+r.next(), uint32(r.next()%17), r.next()
+	hdr := r.next()
+	scale := 1 << (hdr >> 6 * 2)
+	for runs := 1 + (hdr&63)%6; runs > 0; runs-- {
+		op, count, size, param := r.next(), (1+r.next())*scale, uint32(r.next()%17), r.next()
 		kind := AccessRead
 		if op&4 != 0 {
 			kind = AccessWrite
@@ -312,23 +316,30 @@ func sameBytes(a, b []byte) bool {
 // few launches of access runs, and checks every profiled access against
 // the reference resolution (refContext): per access, the row it resolves
 // to and the backing bytes or the fault; per launch, the read and write
-// hit sets, the faults, the KernelCost and the recorded accesses with
-// their tags. A record carries the tag of the reference row when the
-// launch's rows are disjoint (rowsDisjoint), and 0 when they overlap, in
-// host-trace mode and when the table has no tags. Between launches the
-// live set changes, so later launches see freed, quarantined and reused
-// space.
+// hit sets, the faults, the KernelCost and the accesses recorded for the
+// hooks with their tags and rows. A record carries the tag of the
+// reference row when the launch's rows are disjoint (rowsDisjoint), and 0
+// when they overlap, in host-trace mode and when the table has no tags;
+// it carries the reference row plus one, or 0 outside every row. Between
+// launches the live set changes, so later launches see freed, quarantined
+// and reused space.
 //
 // Input layout: byte 0 is a flag set (bit 0 red zones, bit 1 a
 // quarantine, bit 2 PatchFull instead of PatchAPI, bit 3 cost model off,
 // bit 4 the allocator's own live ranges instead of the memory-map rows,
 // bit 5 host-trace object identification, bit 6 a provider that hands
-// out no tags), byte 1 the launch count (1-3). Each launch reads an
-// operation count (one byte, 0-7), that many three-byte live-set
-// operations (fuzzLiveSet.op), then its access runs (decodeRuns). The
-// seed corpus in testdata/fuzz covers disjoint, nested and stray rows,
-// zero-size rows, red zones and quarantined frees, host-trace launches,
-// untagged tables, and every access shape.
+// out no tags, bit 7 pipelined ingest armed, so the cost model is charged
+// from access records, full batches on the consumer), byte 1 the launch
+// count (1-3). Each launch reads an operation byte, whose low three bits
+// are an operation count (0-7) and whose bit 3 leaves the launch
+// uninstrumented at PatchFull, that many three-byte live-set operations
+// (fuzzLiveSet.op), then its access runs (decodeRuns). The seed corpus in
+// testdata/fuzz covers disjoint, nested and stray rows, zero-size rows,
+// red zones and quarantined frees, host-trace launches, untagged tables,
+// every access shape, launches of several full batches at both levels,
+// and instrumented and uninstrumented launches in one run; every seed has
+// a twin that differs in bit 7 alone, so each checks the inline and the
+// piped path.
 func FuzzResolveMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{b: data}
@@ -370,17 +381,26 @@ func FuzzResolveMatchesReference(f *testing.F) {
 		hook := &recordingHook{}
 		dev.AddHook(hook)
 		dev.SetPatchLevel(level)
+		instrument := true
+		dev.SetInstrumentFilter(func(string, uint64) bool { return instrument })
+		if flags&128 != 0 {
+			dev.StartPipelinedIngest()
+			defer dev.StopPipelinedIngest()
+		}
 
 		for l := 0; l < launches; l++ {
-			for ops := r.next() % 8; ops > 0; ops-- {
+			op := r.next()
+			for ops := op % 8; ops > 0; ops-- {
 				set.op(r.next(), r.next(), r.next())
 			}
+			instrument = op&8 == 0
 			accs := decodeRuns(r, set.targets())
 			batches := len(hook.batches)
 			var ref *refContext
-			// At PatchFull, and at any level in host-trace mode, every
-			// access is recorded, in order, resolved or not.
-			record := level == PatchFull || hostTrace
+			// At PatchFull in an instrumented launch, and at any level in
+			// host-trace mode, every access is recorded for the hooks, in
+			// order, resolved or not.
+			record := level == PatchFull && instrument || hostTrace
 			var wantPushed []MemAccess
 			err := dev.LaunchFunc(nil, "fuzz", Dim1(1), Dim1(32), func(ctx *ExecContext) {
 				// A host-trace launch builds no table: no row, hit flag or
@@ -404,7 +424,7 @@ func FuzzResolveMatchesReference(f *testing.F) {
 						if wantRow >= 0 && tags != nil {
 							tag = tags[wantRow]
 						}
-						wantPushed = append(wantPushed, MemAccess{Addr: a.addr, Size: a.size, Kind: a.kind, Space: SpaceGlobal, Tag: tag})
+						wantPushed = append(wantPushed, MemAccess{Addr: a.addr, Size: a.size, Kind: a.kind, Space: SpaceGlobal, Tag: tag, row: int32(wantRow + 1)})
 					}
 					got := ctx.access(a.addr, a.size, a.kind)
 					if row != wantRow {
