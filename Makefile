@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check build test cpu1 race vet fmt lint api staticadv serve-smoke fuzz-smoke bench cover
+.PHONY: check build test cpu1 cpu2 race vet fmt lint api staticadv serve-smoke fuzz-smoke bench cover
 
 # check is the tier-1 verify gate (see ROADMAP.md): static checks, the
 # invariant linter suite, the static kernel advisor gate, the public API
 # surface lock, the full test suite, the byte-identity tests again on one
-# CPU, the race-enabled run that guards pipelined ingest and the engine's
-# concurrent runs, and the drgpum-serve smoke round-trip. Steps run in
-# cheapest-first order and fail fast; each announces itself so CI logs
-# show exactly where a red run stopped.
-check: vet fmt build lint staticadv api test cpu1 race serve-smoke
+# CPU and on two, the race-enabled run that guards pipelined ingest and
+# the engine's concurrent runs, and the drgpum-serve smoke round-trip.
+# Steps run in cheapest-first order and fail fast; each announces itself
+# so CI logs show exactly where a red run stopped.
+check: vet fmt build lint staticadv api test cpu1 cpu2 race serve-smoke
 	@echo "== check: all gates passed =="
 
 build:
@@ -23,13 +23,20 @@ test:
 # cpu1 reruns the determinism and stats byte-identity tests at GOMAXPROCS
 # 1, where core.Attach delivers every access batch inline and the device
 # charges the cost model inline: with a second core it pipelines every
-# profiled run, object level included, so the full suite on a multi-core
-# host never takes the synchronous default. The environment variable
-# reaches the CLI processes the clitest package starts; -cpu 1 sets the
-# test binaries.
+# profiled run, object level included, and completes launches
+# asynchronously once the consumer runs, so the full suite on a multi-core
+# host never takes the synchronous default. cpu2 is the converse: it
+# reruns those tests and the asynchronous-completion tests at GOMAXPROCS
+# 2, so a one-CPU runner still covers pipelined ingest and asynchronous
+# completion. The environment variable reaches the CLI processes the
+# clitest package starts; -cpu sets the test binaries.
 cpu1:
 	@echo "== cpu1 (GOMAXPROCS 1: synchronous ingest) =="
 	GOMAXPROCS=1 $(GO) test -cpu 1 -run 'Determinism|SnapshotThenFinish|StatsFlag' ./internal/core ./internal/obs ./internal/clitest
+
+cpu2:
+	@echo "== cpu2 (GOMAXPROCS 2: pipelined ingest, asynchronous completion) =="
+	GOMAXPROCS=2 $(GO) test -cpu 2 -run 'Determinism|SnapshotThenFinish|StatsFlag|Async|ConsumerPanic|QueuedLaunch' ./internal/gpu ./internal/core ./internal/obs ./internal/clitest
 
 race:
 	@echo "== race =="

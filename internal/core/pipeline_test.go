@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -212,6 +213,71 @@ func TestPipelinedSnapshotThenFinish(t *testing.T) {
 				t.Errorf("interleaved snapshots changed the pipelined Finish render (%d vs %d bytes)", len(snapTxt), len(plainTxt))
 			}
 		})
+	}
+}
+
+// tailHook is an AsyncHook that counts the partial batches delivered on
+// another goroutine than the launching one: the tails of launches that
+// completed asynchronously.
+type tailHook struct {
+	launcher string
+	handed   int
+}
+
+func (*tailHook) AcceptAsync(*gpu.Completion) {}
+func (*tailHook) OnAPI(*gpu.APIRecord)        {}
+
+func (h *tailHook) OnAccessBatch(_ *gpu.APIRecord, batch []gpu.MemAccess) {
+	if len(batch) < fullBatch && goroutineID() != h.launcher {
+		h.handed++
+	}
+}
+
+// TestAsyncCompletionDeterminism pins asynchronous completion on the
+// training loop, where each epoch frees its activation right after the
+// launch that wrote it, so the launch's cost record closes after the free:
+// with only AsyncHooks registered, a pipelined run whose launches return
+// before their tails and cost records are processed serializes
+// byte-identically to a synchronous one, offline and streaming, with and
+// without mid-run snapshots.
+func TestAsyncCompletionDeterminism(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		for _, snapshots := range []bool{false, true} {
+			t.Run(fmt.Sprintf("stream=%v/snapshots=%v", stream, snapshots), func(t *testing.T) {
+				var reps [2]*core.Report
+				var tails tailHook
+				for i, async := range []bool{false, true} {
+					dev := gpu.NewDevice(gpu.SpecRTX3090())
+					prof := attach(dev, trainingConfig(stream), async)
+					tails.launcher = goroutineID()
+					dev.AddHook(&tails)
+					var onEpoch func(int)
+					if snapshots {
+						onEpoch = func(e int) {
+							if e%10 == 3 {
+								prof.Snapshot()
+							}
+						}
+					}
+					runTrainingLoop(t, dev, prof, trainingEpochs, onEpoch)
+					reps[i] = prof.Finish()
+				}
+				if tails.handed == 0 {
+					t.Fatal("no launch completed asynchronously; test is vacuous")
+				}
+				syncJS, syncTxt := reportBytes(t, reps[0])
+				asyncJS, asyncTxt := reportBytes(t, reps[1])
+				if !bytes.Equal(syncJS, asyncJS) {
+					t.Errorf("asynchronous JSON differs from synchronous (%d vs %d bytes)", len(asyncJS), len(syncJS))
+				}
+				if !bytes.Equal(syncTxt, asyncTxt) {
+					t.Errorf("asynchronous render differs from synchronous (%d vs %d bytes)", len(asyncTxt), len(syncTxt))
+				}
+				if stream && !reflect.DeepEqual(reps[0].Heat, reps[1].Heat) {
+					t.Error("asynchronous heat map differs from synchronous")
+				}
+			})
+		}
 	}
 }
 

@@ -48,17 +48,23 @@ func (h *tagOracle) OnAPI(rec *gpu.APIRecord) {
 	}
 }
 
+// load makes ranges and ids, the memory map's live objects in address
+// order, the table the oracle checks records against.
+func (h *tagOracle) load(ranges []gpu.Range, ids []trace.ObjectID) {
+	h.ranges, h.ids = ranges, ids
+	h.disjoint = true
+	for i := 1; i < len(h.ranges); i++ {
+		if uint64(h.ranges[i].Addr-h.ranges[i-1].Addr) < h.ranges[i-1].Size {
+			h.disjoint = false
+		}
+	}
+	h.loaded = true
+}
+
 func (h *tagOracle) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {
 	if !h.loaded {
 		m := h.c.MemoryMap()
-		h.ranges, h.ids = m.LiveRanges(), m.Live()
-		h.disjoint = true
-		for i := 1; i < len(h.ranges); i++ {
-			if uint64(h.ranges[i].Addr-h.ranges[i-1].Addr) < h.ranges[i-1].Size {
-				h.disjoint = false
-			}
-		}
-		h.loaded = true
+		h.load(m.LiveRanges(), m.Live())
 	}
 	tagged, untagged := 0, 0
 	for i := range batch {
@@ -173,6 +179,101 @@ func TestCarriedTagsMatchOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// asyncTagOracle is the tag oracle as an AsyncHook, so the profiler's
+// launches still complete asynchronously with it registered. Its batches
+// may arrive after the launch's OnAPI and after later APIs changed the
+// memory map, so it takes each launch's table where the device builds
+// it: its provider snapshots the memory map, publishes the snapshot to
+// the batch side through After, ahead of the launch's first batch, and
+// returns the collector's LiveTable. The profiler's own provider also
+// hands the intra-object recorder the live bytes for its map-mode
+// decision; replacing it leaves the recorder at the bytes live at Attach,
+// which these runs, checking tags rather than reports, do not depend on.
+// handed counts the partial batches that arrived on another goroutine
+// than the launching one: tails of asynchronous launches.
+type asyncTagOracle struct {
+	tagOracle
+	q        *gpu.Completion
+	launcher string
+	handed   int
+}
+
+func (h *asyncTagOracle) AcceptAsync(q *gpu.Completion) { h.q = q }
+
+// OnAPI keeps the loaded table: the next launch's provider call replaces
+// it.
+func (h *asyncTagOracle) OnAPI(*gpu.APIRecord) {}
+
+func (h *asyncTagOracle) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {
+	h.tagOracle.OnAccessBatch(rec, batch)
+	if len(batch) < fullBatch && goroutineID() != h.launcher {
+		h.handed++
+	}
+}
+
+func (h *asyncTagOracle) liveTable() ([]gpu.Range, []uint32) {
+	m := h.c.MemoryMap()
+	ranges, ids := m.LiveRanges(), m.Live()
+	h.q.After(func() { h.load(ranges, ids) })
+	return h.c.LiveTable()
+}
+
+// TestCarriedTagsMatchOracleAsync is TestCarriedTagsMatchOracle with an
+// oracle that accepts asynchronous completion, over every bundled program
+// and variant, offline and streaming, pipelined: each record is checked
+// against the table its launch was built from, including the tails the
+// consumer ingests after the launch returned. Memcheck's hook keeps every
+// launch synchronous, so it stays off here.
+func TestCarriedTagsMatchOracleAsync(t *testing.T) {
+	run := func(t *testing.T, w *workloads.Workload, v workloads.Variant, stream, attachPool bool) *asyncTagOracle {
+		dev := gpu.NewDevice(gpu.SpecRTX3090())
+		cfg := core.IntraObjectConfig()
+		cfg.KernelWhitelist = w.IntraKernels
+		if stream {
+			cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
+		}
+		prof := attach(dev, cfg, true)
+		oracle := &asyncTagOracle{tagOracle: tagOracle{t: t, c: prof.Collector()}, launcher: goroutineID()}
+		dev.AddHook(oracle)
+		dev.SetLiveRangesProvider(oracle.liveTable)
+		var host workloads.Host = prof
+		if !attachPool {
+			host = noPoolHost{prof}
+		}
+		if err := w.Run(dev, host, v); err != nil {
+			t.Fatal(err)
+		}
+		prof.Finish()
+		return oracle
+	}
+	handed := 0
+	for _, w := range workloads.All() {
+		for _, v := range []workloads.Variant{workloads.VariantNaive, workloads.VariantOptimized} {
+			for _, stream := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/stream=%v", w.Name, v, stream), func(t *testing.T) {
+					o := run(t, w, v, stream, true)
+					if o.untagged != 0 {
+						t.Errorf("%d records in live objects on launches with overlapping rows", o.untagged)
+					}
+					if o.tagged == 0 {
+						t.Error("no tagged record checked; test is vacuous")
+					}
+					handed += o.handed
+				})
+			}
+		}
+	}
+	if handed == 0 {
+		t.Error("no launch completed asynchronously; test is vacuous")
+	}
+	w, _ := workloads.ByName("pytorch")
+	t.Run("pytorch/unattached-pool", func(t *testing.T) {
+		if o := run(t, w, workloads.VariantNaive, false, false); o.untagged == 0 {
+			t.Error("no record on a launch with overlapping rows; test is vacuous")
+		}
+	})
 }
 
 // TestHostTraceIntraObjectEquivalence pins intra-object output across the

@@ -77,6 +77,15 @@ type arrivalHook struct {
 	inc *depgraph.Incremental
 	acc *objlevel.Accumulator
 
+	// done is the device's completion handle: seals run behind the
+	// launches the device may still be completing on the pipeline
+	// consumer, and a window close waits for them. live is the device's
+	// in-use bytes as of the latest launch's table, in that same order:
+	// the intra-object recorder's map-mode decision reads it. livePub is
+	// the last value handed to live.
+	done          *gpu.Completion
+	live, livePub uint64
+
 	// The fields below serve streaming only; heat is nil without it.
 	recorder      *intraobj.Recorder // nil at object-level granularity
 	windowKernels int
@@ -84,9 +93,9 @@ type arrivalHook struct {
 	retired       uint64 // invocation index where the open window starts
 
 	curCells map[trace.ObjectID]uint64
-	// curExcess/prevExcess difference the collector's cumulative per-object
-	// cost into per-epoch excess-transaction deltas.
-	curExcess  map[trace.ObjectID]uint64
+	// prevExcess holds each object's cumulative excess transactions at
+	// the last window close that saw them grow: differencing against it
+	// yields an epoch's traffic-waste delta.
 	prevExcess map[trace.ObjectID]uint64
 	heat       *HeatMap
 
@@ -94,7 +103,7 @@ type arrivalHook struct {
 	winNode *obs.Node
 }
 
-var _ gpu.Hook = (*arrivalHook)(nil)
+var _ gpu.AsyncHook = (*arrivalHook)(nil)
 
 func newArrivalHook(t *trace.Trace, rec *intraobj.Recorder, cfg Config) *arrivalHook {
 	h := &arrivalHook{
@@ -112,7 +121,6 @@ func newArrivalHook(t *trace.Trace, rec *intraobj.Recorder, cfg Config) *arrival
 	h.recorder = rec
 	h.windowKernels = wk
 	h.curCells = make(map[trace.ObjectID]uint64)
-	h.curExcess = make(map[trace.ObjectID]uint64)
 	h.prevExcess = make(map[trace.ObjectID]uint64)
 	h.heat = &HeatMap{WindowKernels: wk}
 	h.obsRec = cfg.Obs
@@ -147,27 +155,32 @@ func (h *arrivalHook) OnAPI(rec *gpu.APIRecord) {
 // acts at API boundaries.
 func (h *arrivalHook) OnAccessBatch(*gpu.APIRecord, []gpu.MemAccess) {}
 
+// AcceptAsync implements gpu.AsyncHook.
+func (h *arrivalHook) AcceptAsync(q *gpu.Completion) { h.done = q }
+
+// publishLive hands n, the device's in-use bytes when a launch builds its
+// table, to the recorder's map-mode decision for that launch.
+func (h *arrivalHook) publishLive(n uint64) {
+	if n != h.livePub {
+		h.livePub = n
+		h.done.After(func() { h.live = n })
+	}
+}
+
 // stream does the windowing work for one API: bump the heat cells of the
 // touched objects, seal a freed object's intra-object state, and close the
 // window after its last kernel.
 func (h *arrivalHook) stream(rec *gpu.APIRecord, info *trace.APIInfo, touched []trace.ObjectID) {
 	for _, id := range touched {
 		h.curCells[id]++
-		// The collector's OnAPI already folded this kernel's cost into the
-		// object's cumulative counters; differencing against the previous
-		// observation yields this epoch's traffic-waste delta.
-		if rec.Kind == gpu.APIKernel && rec.Cost != nil {
-			if ex := h.t.Object(id).Cost.ExcessTransactions(); ex > h.prevExcess[id] {
-				h.curExcess[id] += ex - h.prevExcess[id]
-				h.prevExcess[id] = ex
-			}
-		}
 	}
 
 	switch rec.Kind {
 	case gpu.APIFree:
 		if h.recorder != nil && info.HasObj {
-			h.recorder.Seal(int(info.Obj))
+			// After the batches of every launch that touched the object.
+			id := int(info.Obj)
+			h.done.After(func() { h.recorder.Seal(id) })
 			h.obsRec.AddNamed(obs.NamedWindowObjectsSealed, 1)
 		}
 	case gpu.APIKernel:
@@ -182,9 +195,21 @@ func (h *arrivalHook) stream(rec *gpu.APIRecord, info *trace.APIInfo, touched []
 // record its heat epoch, compact the access lists of its touched objects,
 // and retire its API records.
 func (h *arrivalHook) closeWindow(upTo uint64) {
+	// Every launch of the window has completed and its cost is folded
+	// into the objects' counters once the consumer is idle. A kernel adds
+	// at least as many transactions as their coalesced ideal, so an
+	// object's excess never falls, and its growth since the previous close
+	// is the epoch's excess. Only kernels that touch an object add to its
+	// cost, so the cells of the epoch's touched objects hold all of it.
+	h.done.Wait()
 	cells := make([]HeatCell, 0, len(h.curCells))
 	for id, n := range h.curCells {
-		cells = append(cells, HeatCell{Object: id, Touches: n, ExcessTransactions: h.curExcess[id]})
+		c := HeatCell{Object: id, Touches: n}
+		if ex := h.t.Object(id).Cost.ExcessTransactions(); ex > h.prevExcess[id] {
+			c.ExcessTransactions = ex - h.prevExcess[id]
+			h.prevExcess[id] = ex
+		}
+		cells = append(cells, c)
 	}
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Object < cells[j].Object })
 	h.heat.Epochs = append(h.heat.Epochs, HeatEpoch{
@@ -213,7 +238,6 @@ func (h *arrivalHook) closeWindow(upTo uint64) {
 	h.retired = upTo + 1
 	h.kernels = 0
 	clear(h.curCells)
-	clear(h.curExcess)
 
 	h.obsRec.AddNamed(obs.NamedWindowsClosed, 1)
 	h.obsRec.AddNamed(obs.NamedWindowAPIsRetired, retired)

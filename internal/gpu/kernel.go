@@ -91,6 +91,15 @@ type ExecContext struct {
 	// rows is set when every access that resolves to a row is recorded:
 	// the launch is instrumented, or costRecs is set.
 	rows bool
+	// tagged is set when the rows are disjoint and each carries the
+	// provider's tag; stray is set once an access recorded for the hooks
+	// resolved to no row. A launch may complete asynchronously only when
+	// tagged is set and stray is not.
+	tagged bool
+	stray  bool
+	// reset is set while the tracker's reset for this launch is still to
+	// be handed to the consumer with the launch's first task.
+	reset bool
 
 	// cost, when non-nil, runs the memory-hierarchy cost model inline over
 	// this launch's accesses, keyed by hit-table entry (see
@@ -168,6 +177,7 @@ func (c *ExecContext) loadTable(live []Range, tags []uint32, blocks []*block) {
 		for i := range min(len(tags), len(c.table)) {
 			c.table[i].tag = tags[i]
 		}
+		c.tagged = tags != nil && len(tags) >= len(c.table)
 	}
 }
 
@@ -236,8 +246,11 @@ func (c *ExecContext) access(addr DevicePtr, size uint32, kind AccessKind) []byt
 	}
 	data := c.backing(b, addr, size, kind)
 	if i < 0 {
-		if c.instrumented && c.dev.pushAccess(addr, size, kind, SpaceGlobal, 0, 0) {
-			c.flush()
+		if c.instrumented {
+			c.stray = true
+			if c.dev.pushAccess(addr, size, kind, SpaceGlobal, 0, 0) {
+				c.flush()
+			}
 		}
 		return data
 	}
@@ -264,8 +277,34 @@ func (c *ExecContext) sharedAccess(off int, size uint32, kind AccessKind) {
 	}
 }
 
-// flush delivers the launch's full access buffer.
-func (c *ExecContext) flush() { c.dev.flushAccesses(c.rec, c.hooks, c.costRecs) }
+// flush delivers the launch's full access buffer. With pipelined ingest
+// armed the batch is handed to the consumer goroutine, which charges
+// costRecs, when non-nil, from the batch and runs the hooks when hooks is
+// set, and the device keeps simulating into a recycled buffer; otherwise
+// the hooks run inline (an unarmed device charges the model inline, so
+// costRecs is nil there). Only batches for the hooks are counted.
+func (c *ExecContext) flush() {
+	d := c.dev
+	if c.hooks {
+		d.pipeStats.Batches++
+	}
+	if p := d.pipe; p != nil {
+		d.batch = p.send(c.task(d.batch))
+		return
+	}
+	d.deliverAccesses(c.rec)
+	d.batch = d.batch[:0]
+}
+
+// task builds the hand-off of batch, carrying the tracker's reset when it
+// is the launch's first task.
+func (c *ExecContext) task(batch []MemAccess) pipeTask {
+	t := pipeTask{rec: c.rec, batch: batch, cost: c.costRecs, hooks: c.hooks}
+	if c.reset {
+		t.reset, t.rows, c.reset = true, len(c.table), false
+	}
+	return t
+}
 
 // Read copies len(buf) bytes from device memory into buf. Out-of-bounds
 // reads yield zeros and record a fault.
@@ -396,42 +435,6 @@ func (d *Device) pushAccess(addr DevicePtr, size uint32, kind AccessKind, space 
 	return n+1 == cap(d.batch)
 }
 
-// flushAccesses delivers a full buffer and resets it. With pipelined
-// ingest armed the batch is handed to the consumer goroutine, which
-// charges cost, when non-nil, from the batch and runs the hooks when hooks
-// is set, and the device keeps simulating into a recycled buffer;
-// otherwise the hooks run inline (an unarmed device charges the model
-// inline, so cost is nil there). Only batches for the hooks are counted.
-func (d *Device) flushAccesses(rec *APIRecord, hooks bool, cost *costmodel.Tracker) {
-	if hooks {
-		d.pipeStats.Batches++
-	}
-	if p := d.pipe; p != nil {
-		d.batch = p.send(rec, d.batch, hooks, cost)
-		return
-	}
-	d.deliverAccesses(rec)
-	d.batch = d.batch[:0]
-}
-
-// flushTail delivers a launch's partial last batch on the simulating
-// goroutine, after the consumer has charged and run every full batch the
-// launch handed off: it charges cost, when non-nil, from the tail, then
-// runs the hooks over it when hooks is set.
-func (d *Device) flushTail(rec *APIRecord, hooks bool, cost *costmodel.Tracker) {
-	d.pipe.drain()
-	if len(d.batch) == 0 {
-		return
-	}
-	if cost != nil {
-		chargeBatch(cost, d.batch)
-	}
-	if hooks {
-		d.deliverAccesses(rec)
-	}
-	d.batch = d.batch[:0]
-}
-
 // deliverAccesses runs the hooks over the buffered accesses on the
 // simulating goroutine.
 func (d *Device) deliverAccesses(rec *APIRecord) {
@@ -451,10 +454,67 @@ func chargeBatch(t *costmodel.Tracker, batch []MemAccess) {
 	}
 }
 
+// completeSync completes a launch on the simulating goroutine: it drains
+// the pipeline, which runs every full batch the launch handed off, then
+// resets the tracker if no task carried the reset, charges the tracker,
+// when non-nil, from the tail, runs the hooks over the tail when the
+// launch's records are theirs, and closes the launch's cost record.
+func (d *Device) completeSync(c *ExecContext, tracker *costmodel.Tracker) {
+	d.pipe.drain()
+	if c.reset {
+		tracker.Reset(len(c.table))
+	}
+	if len(d.batch) > 0 {
+		if c.costRecs != nil {
+			chargeBatch(c.costRecs, d.batch)
+		}
+		if c.hooks {
+			d.deliverAccesses(c.rec)
+		}
+		d.batch = d.batch[:0]
+	}
+	if tracker != nil {
+		c.rec.Cost = closeCost(tracker, c.table)
+	}
+}
+
+// completeAsync hands the launch's tail and, with the cost model on, the
+// closing of its cost record to the consumer, and returns without
+// waiting. The queued table keeps the rows' ranges and tags but drops
+// their blocks, so a queued launch keeps no freed device memory alive.
+func (d *Device) completeAsync(c *ExecContext, tracker *costmodel.Tracker) {
+	var batch []MemAccess
+	if len(d.batch) > 0 {
+		batch = d.batch
+	}
+	t := c.task(batch)
+	if tracker != nil {
+		for i := range c.table {
+			c.table[i].blk = nil
+		}
+		t.table = c.table
+	}
+	switch {
+	case batch != nil:
+		d.batch = d.pipe.send(t)
+	case t.table != nil:
+		d.pipe.put(t)
+	}
+}
+
+// closeCost flushes the tracker and returns the launch's cost record,
+// with each entry's base taken from its hit-table row.
+func closeCost(t *costmodel.Tracker, table []hitEntry) *costmodel.KernelCost {
+	return t.Finish(func(i int) uint64 { return uint64(table[i].rng.Addr) })
+}
+
 // Launch runs a kernel on the given stream (nil means the default stream).
 // The launch is "asynchronous" in the simulated-clock sense: it only advances
 // its own stream's clock. The kernel body executes immediately on the calling
-// goroutine, which keeps the simulator deterministic.
+// goroutine, which keeps the simulator deterministic. With pipelined ingest
+// armed and only AsyncHooks registered, the ingest of the launch's last
+// accesses may still be running on the consumer when Launch returns (see
+// pipeline.go).
 func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 	if stream == nil {
 		stream = d.defaultStream
@@ -487,9 +547,14 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 			}
 			ctx.loadTable(live, tags, d.alloc.blocks)
 			if d.costTracker != nil && len(ctx.table) > 0 {
-				// The pipeline is idle here: every launch drains at its end.
-				d.costTracker.Reset(len(ctx.table))
 				tracker = d.costTracker
+				// The consumer may still be charging an earlier launch:
+				// then the launch's first task carries the reset.
+				if d.pipe.idle() {
+					tracker.Reset(len(ctx.table))
+				} else {
+					ctx.reset = true
+				}
 			}
 		}
 		if d.patch == PatchFull {
@@ -509,13 +574,17 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 	}
 
 	k.Run(ctx)
-	// Drain, then charge and deliver the last batch, before folding hit
-	// flags, closing the launch's cost and emitting OnAPI: every
-	// OnAccessBatch for this kernel must precede its OnAPI, the tracker
-	// must have seen every access, and the pipeline must be idle whenever
-	// application code runs between APIs (see pipeline.go's ordering
-	// contract).
-	d.flushTail(rec, ctx.hooks, ctx.costRecs)
+	// Complete the launch before emitting its OnAPI. A synchronous
+	// completion drains, then charges and delivers the last batch and
+	// closes the launch's cost, so every OnAccessBatch for this kernel
+	// precedes its OnAPI and the tracker has seen every access. An
+	// asynchronous one hands that work to the consumer, ahead of anything
+	// the hooks queue from OnAPI (see pipeline.go's ordering contract).
+	if d.pipe.started() && ctx.tagged && !ctx.stray && d.syncHooks == 0 {
+		d.completeAsync(ctx, tracker)
+	} else {
+		d.completeSync(ctx, tracker)
+	}
 
 	if d.patch >= PatchAPI {
 		if ctx.hostTrace {
@@ -532,10 +601,6 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 				}
 			}
 		}
-	}
-
-	if tracker != nil {
-		rec.Cost = tracker.Finish(func(i int) uint64 { return uint64(ctx.table[i].rng.Addr) })
 	}
 
 	cost := d.spec.LaunchCycles + ctx.accessCycles + ctx.computeCycles

@@ -298,7 +298,7 @@ func TestPipelineHandoffAllocs(t *testing.T) {
 	rec := &APIRecord{Name: "allocs", Kind: APIKernel}
 	hand := func() {
 		dev.batch = append(dev.batch[:0], MemAccess{Addr: 64, Size: 4})
-		dev.batch = dev.pipe.send(rec, dev.batch, true, nil)
+		dev.batch = dev.pipe.send(pipeTask{rec: rec, batch: dev.batch, hooks: true})
 		dev.pipe.drain()
 	}
 	for i := 0; i < 32; i++ { // prime the free-list and warm the consumer

@@ -330,21 +330,30 @@ func sameBytes(a, b []byte) bool {
 // bit 5 host-trace object identification, bit 6 a provider that hands
 // out no tags, bit 7 pipelined ingest armed, so the cost model is charged
 // from access records, full batches on the consumer), byte 1 the launch
-// count (1-3). Each launch reads an operation byte, whose low three bits
-// are an operation count (0-7) and whose bit 3 leaves the launch
-// uninstrumented at PatchFull, that many three-byte live-set operations
-// (fuzzLiveSet.op), then its access runs (decodeRuns). The seed corpus in
-// testdata/fuzz covers disjoint, nested and stray rows, zero-size rows,
-// red zones and quarantined frees, host-trace launches, untagged tables,
-// every access shape, launches of several full batches at both levels,
-// and instrumented and uninstrumented launches in one run; every seed has
-// a twin that differs in bit 7 alone, so each checks the inline and the
-// piped path.
+// count (1-3) in its low seven bits and, in bit 7, a hook that accepts
+// asynchronous completion, so once the consumer runs a launch with tagged
+// rows returns before its tail and cost record are processed. Each launch
+// reads an operation byte, whose low three bits are an operation count
+// (0-7), whose bit 3 leaves the launch uninstrumented at PatchFull and
+// whose bit 4 waits for the consumer after the launch (a window close),
+// that many three-byte live-set operations (fuzzLiveSet.op), then its
+// access runs (decodeRuns). With an asynchronous hook a launch's cost
+// record and records are checked at the next wait or at the end. The
+// seed corpus in testdata/fuzz covers disjoint, nested and stray rows,
+// zero-size rows, red zones and quarantined frees, host-trace launches,
+// untagged tables, every access shape, launches of several full batches at
+// both levels, instrumented and uninstrumented launches in one run, a
+// launch with no full batch after the consumer has started, asynchronous
+// launches mixed with synchronous ones over overlapping rows, and a wait
+// right after an asynchronous launch; every seed has a twin that differs
+// in bit 7 alone, so each checks the inline and the piped path, and each
+// of those an asynchronous twin that differs in bit 7 of byte 1.
 func FuzzResolveMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{b: data}
 		flags := r.next()
-		launches := 1 + r.next()%3
+		count := r.next()
+		launches := 1 + (count&127)%3
 
 		dev := NewDevice(SpecTest())
 		if flags&1 != 0 {
@@ -378,8 +387,29 @@ func FuzzResolveMatchesReference(f *testing.F) {
 		if hostTrace {
 			dev.SetObjectIDMode(ObjectIDHostTrace)
 		}
-		hook := &recordingHook{}
-		dev.AddHook(hook)
+		var hook *batchLog
+		var done *Completion
+		if count&128 != 0 {
+			h := &asyncHook{}
+			dev.AddHook(h)
+			hook, done = &h.batchLog, h.q
+		} else {
+			h := &syncHook{}
+			dev.AddHook(h)
+			hook = &h.batchLog
+		}
+		// pending holds the checks of launches whose cost record and
+		// records the consumer may still be producing; settle waits for it
+		// and runs them.
+		var pending []func()
+		settle := func() {
+			done.Wait()
+			for _, check := range pending {
+				check()
+			}
+			pending = pending[:0]
+		}
+		defer settle()
 		dev.SetPatchLevel(level)
 		instrument := true
 		dev.SetInstrumentFilter(func(string, uint64) bool { return instrument })
@@ -395,7 +425,6 @@ func FuzzResolveMatchesReference(f *testing.F) {
 			}
 			instrument = op&8 == 0
 			accs := decodeRuns(r, set.targets())
-			batches := len(hook.batches)
 			var ref *refContext
 			// At PatchFull in an instrumented launch, and at any level in
 			// host-trace mode, every access is recorded for the hooks, in
@@ -451,20 +480,27 @@ func FuzzResolveMatchesReference(f *testing.F) {
 			if !reflect.DeepEqual(rec.Faults, ref.faults) {
 				t.Fatalf("launch %d: faults\n got %v\nwant %v", l, rec.Faults, ref.faults)
 			}
-			if !reflect.DeepEqual(rec.Cost, cost) {
-				t.Fatalf("launch %d: cost\n got %+v\nwant %+v", l, rec.Cost, cost)
-			}
-			var pushed []MemAccess
-			for _, b := range hook.batches[batches:] {
-				pushed = append(pushed, b...)
-			}
-			if len(pushed) != len(wantPushed) {
-				t.Fatalf("launch %d: %d access records, want %d", l, len(pushed), len(wantPushed))
-			}
-			for n := range pushed {
-				if pushed[n] != wantPushed[n] {
-					t.Fatalf("launch %d access %d: record %+v, want %+v", l, n, pushed[n], wantPushed[n])
+			pending = append(pending, func() {
+				if !reflect.DeepEqual(rec.Cost, cost) {
+					t.Fatalf("launch %d: cost\n got %+v\nwant %+v", l, rec.Cost, cost)
 				}
+				var pushed []MemAccess
+				for i, b := range hook.batches {
+					if hook.recs[i] == rec {
+						pushed = append(pushed, b...)
+					}
+				}
+				if len(pushed) != len(wantPushed) {
+					t.Fatalf("launch %d: %d access records, want %d", l, len(pushed), len(wantPushed))
+				}
+				for n := range pushed {
+					if pushed[n] != wantPushed[n] {
+						t.Fatalf("launch %d access %d: record %+v, want %+v", l, n, pushed[n], wantPushed[n])
+					}
+				}
+			})
+			if done == nil || op&16 != 0 {
+				settle()
 			}
 		}
 	})

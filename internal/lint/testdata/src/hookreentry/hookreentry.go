@@ -148,3 +148,59 @@ func (p *badPipelineConsumer) runPipeline() {
 		}
 	}
 }
+
+// Work handed to the pipeline consumer through gpu.Completion.After runs
+// there like a hook body, so it must not re-enter the simulator either,
+// and neither may the AsyncHook method that receives the handle.
+
+// badAsyncHook frees memory from work it queues on the consumer and
+// launches from AcceptAsync — flagged.
+type badAsyncHook struct {
+	dev  *gpu.Device
+	q    *gpu.Completion
+	temp gpu.DevicePtr
+}
+
+var _ gpu.AsyncHook = (*badAsyncHook)(nil)
+
+func (h *badAsyncHook) AcceptAsync(q *gpu.Completion) {
+	h.q = q
+	h.dev.Synchronize() // want `hook AcceptAsync calls Device.Synchronize`
+}
+
+func (h *badAsyncHook) OnAPI(rec *gpu.APIRecord) {
+	h.queueFree()
+	h.q.After(h.release)
+}
+
+// queueFree is no hook method, but the literal it queues runs on the
+// consumer.
+func (h *badAsyncHook) queueFree() {
+	h.q.After(func() {
+		_ = h.dev.Free(h.temp) // want `hook Completion.After work calls Device.Free`
+	})
+}
+
+func (h *badAsyncHook) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {}
+
+// release is handed to After by method value, so it runs on the consumer.
+func (h *badAsyncHook) release() {
+	_ = h.dev.Free(h.temp) // want `hook Completion.After work calls Device.Free`
+}
+
+// goodAsyncHook only folds what it observed in its queued work — silent.
+type goodAsyncHook struct {
+	q     *gpu.Completion
+	total uint64
+}
+
+var _ gpu.AsyncHook = (*goodAsyncHook)(nil)
+
+func (h *goodAsyncHook) AcceptAsync(q *gpu.Completion) { h.q = q }
+
+func (h *goodAsyncHook) OnAPI(rec *gpu.APIRecord) {
+	size := rec.Size
+	h.q.After(func() { h.total += size })
+}
+
+func (h *goodAsyncHook) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {}

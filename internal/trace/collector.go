@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"sync/atomic"
+
 	"drgpum/internal/callpath"
 	"drgpum/internal/costmodel"
 	"drgpum/internal/gpu"
@@ -50,10 +52,24 @@ type Collector struct {
 
 	scratch []ObjectID
 
-	// supplied is set when the device builds a launch's hit table from
-	// LiveTable and cleared at that kernel's OnAPI: only then do the tags
-	// the launch's records carry name this collector's objects.
+	// done is the device's completion handle (nil until the collector is
+	// added to a device). The batch path may run on the pipeline consumer
+	// after later APIs, so it reads no state they write: sinkObjs is the
+	// object table the sink indexes, trace.Objects extended to its
+	// capacity and stored again only when an append moves it. A batch
+	// indexes only objects live when its launch built its table, which
+	// were appended before the launch handed anything off.
+	done     *gpu.Completion
+	sinkObjs atomic.Pointer[[]*Object]
+	// supplied is set by the first LiveTable call and never cleared: from
+	// then on the collector is the device's live-ranges provider, and the
+	// tags launch records carry name its objects. It is written once,
+	// before any batch that reads it is handed off.
 	supplied bool
+	// tabled is the object count when the device last built a hit table
+	// from LiveTable: work still queued on the consumer can only touch
+	// objects below it.
+	tabled int
 	// liveBuf and tagBuf back LiveTable's result; the device copies it.
 	liveBuf []gpu.Range
 	tagBuf  []uint32
@@ -71,7 +87,7 @@ type Collector struct {
 	obsBatchNode *obs.Node
 }
 
-var _ gpu.Hook = (*Collector)(nil)
+var _ gpu.AsyncHook = (*Collector)(nil)
 
 // NewCollector creates a collector with an empty trace.
 func NewCollector() *Collector {
@@ -85,8 +101,22 @@ func NewCollector() *Collector {
 	}
 }
 
-// SetSink installs the intra-object access consumer.
-func (c *Collector) SetSink(s AccessSink) { c.sink = s }
+// SetSink installs the intra-object access consumer. Call it between
+// APIs, before the device completes a launch asynchronously.
+func (c *Collector) SetSink(s AccessSink) {
+	c.sink = s
+	c.publishObjects()
+}
+
+// publishObjects stores the object table, at full capacity, for the sink.
+func (c *Collector) publishObjects() {
+	objs := c.trace.Objects[:cap(c.trace.Objects)]
+	c.sinkObjs.Store(&objs)
+}
+
+// AcceptAsync implements gpu.AsyncHook: the collector orders its
+// consumer-side state through q.
+func (c *Collector) AcceptAsync(q *gpu.Completion) { c.done = q }
 
 // SetObs installs a self-observability recorder: API and access-batch
 // ingestion report spans under ingest/ and feed the event counters. Safe to
@@ -113,11 +143,17 @@ func (c *Collector) MemoryMap() *MemoryMap { return c.mmap }
 // Annotate attaches an application-facing label and element size to the live
 // object based at ptr. Element size 0 keeps the default. Annotation is how
 // workloads give objects the names the paper's reports use (q_dx,
-// l.weights_gpu, pMem_conformations, ...).
+// l.weights_gpu, pMem_conformations, ...). The intra-object sink reads the
+// element size when a launch first touches the object, so Annotate waits
+// for the consumer when a launch that may still be queued was built with
+// the object live; an object allocated since the last launch needs no wait.
 func (c *Collector) Annotate(ptr gpu.DevicePtr, label string, elemSize uint32) bool {
 	id, ok := c.mmap.LookupBase(ptr)
 	if !ok {
 		return false
+	}
+	if int(id) < c.tabled {
+		c.done.Wait()
 	}
 	o := c.trace.Objects[id]
 	o.Label = label
@@ -150,12 +186,15 @@ func (c *Collector) LiveRanges() []gpu.Range {
 // LiveTable is the device's live-ranges provider
 // (gpu.Device.SetLiveRangesProvider): the memory map's live ranges in
 // address order, each with its object's ObjectTag. Both slices are reused
-// by the next call. A call marks the launch in progress as one whose
-// table this collector supplied, so OnAccessBatch trusts the tags its
-// records carry until the kernel's OnAPI.
+// by the next call. The first call makes the collector the device's
+// provider, so OnAccessBatch trusts the tags the records carry from then
+// on.
 func (c *Collector) LiveTable() ([]gpu.Range, []uint32) {
 	c.liveBuf, c.tagBuf = c.mmap.appendLiveTable(c.liveBuf[:0], c.tagBuf[:0])
-	c.supplied = true
+	if !c.supplied {
+		c.supplied = true
+	}
+	c.tabled = len(c.trace.Objects)
 	return c.liveBuf, c.tagBuf
 }
 
@@ -195,7 +234,11 @@ func (c *Collector) OnAPI(rec *gpu.APIRecord) {
 			Pool:     rec.Custom,
 		}
 		o.AllocPath = info.Path
+		moves := len(c.trace.Objects) == cap(c.trace.Objects)
 		c.trace.Objects = append(c.trace.Objects, o)
+		if moves && c.sink != nil {
+			c.publishObjects()
+		}
 		c.mmap.Insert(o.ID, o.Range())
 		info.Obj, info.HasObj = o.ID, true
 
@@ -211,7 +254,6 @@ func (c *Collector) OnAPI(rec *gpu.APIRecord) {
 		c.attributeRanges(info, rec)
 
 	case gpu.APIKernel:
-		c.supplied = false
 		if c.hostTrace {
 			// Host-trace mode: consume the touches reconstructed while the
 			// kernel's access stream arrived.
@@ -230,8 +272,8 @@ func (c *Collector) OnAPI(rec *gpu.APIRecord) {
 		} else {
 			// Hit-flag mode: the record carries object-resolution ranges.
 			c.attributeRanges(info, rec)
+			c.queueCost(rec)
 		}
-		c.attributeCost(rec)
 	}
 
 	// Keep the APIs slice dense and indexed by invocation index.
@@ -243,22 +285,48 @@ func (c *Collector) OnAPI(rec *gpu.APIRecord) {
 	sp.End()
 }
 
-// attributeCost folds a kernel launch's cost-model record into the touched
-// objects. Accumulation happens here — at OnAPI arrival, before any window
-// retirement — so the per-object totals survive streaming compaction, and
-// the counters are commutative sums, so every profiling mode folds the same
-// values regardless of hook delivery order within the launch.
-func (c *Collector) attributeCost(rec *gpu.APIRecord) {
+// queueCost queues the attribution of a kernel launch's cost record,
+// which the device may still be closing on the pipeline consumer. Every
+// cost entry is a hit row of the launch, so queueCost resolves the rows'
+// bases now, while the memory map is still the one the launch ran with:
+// by the time the record closes, an object the kernel touched may have
+// been freed and its address reused.
+func (c *Collector) queueCost(rec *gpu.APIRecord) {
+	n := len(rec.Reads) + len(rec.Writes)
+	if n == 0 {
+		return
+	}
+	objs := make([]*Object, 0, n)
+	for _, rs := range [2][]gpu.Range{rec.Reads, rec.Writes} {
+		for _, r := range rs {
+			var o *Object
+			if id, ok := c.mmap.LookupBase(r.Addr); ok {
+				o = c.trace.Objects[id]
+			}
+			objs = append(objs, o)
+		}
+	}
+	c.done.After(func() { c.attributeCost(rec, objs) })
+}
+
+// attributeCost folds a kernel launch's cost-model record into the
+// objects its entries' hit rows resolved to: objs holds the object of
+// each rec.Reads row and then each rec.Writes row, nil for none. It runs
+// in API order, after the launch's cost record closed and before any
+// later launch's, so the per-object totals are complete when a window
+// closes or a report is built, and the counters are commutative sums, so
+// every profiling mode folds the same values regardless of hook delivery
+// order within the launch.
+func (c *Collector) attributeCost(rec *gpu.APIRecord, objs []*Object) {
 	if rec.Cost == nil {
 		return
 	}
 	for i := range rec.Cost.Entries {
 		e := &rec.Cost.Entries[i]
-		id, ok := c.mmap.LookupBase(gpu.DevicePtr(e.Base))
-		if !ok {
+		o := rowObject(rec, objs, e.Base)
+		if o == nil {
 			continue
 		}
-		o := c.trace.Objects[id]
 		o.Cost.Add(e.ObjectCost)
 		if o.CostByKernel == nil {
 			o.CostByKernel = make(map[string]costmodel.ObjectCost)
@@ -267,6 +335,21 @@ func (c *Collector) attributeCost(rec *gpu.APIRecord) {
 		kc.Add(e.ObjectCost)
 		o.CostByKernel[rec.Name] = kc
 	}
+}
+
+// rowObject returns the object of the first hit row of rec based at base.
+func rowObject(rec *gpu.APIRecord, objs []*Object, base uint64) *Object {
+	for i, r := range rec.Reads {
+		if uint64(r.Addr) == base {
+			return objs[i]
+		}
+	}
+	for i, r := range rec.Writes {
+		if uint64(r.Addr) == base {
+			return objs[len(rec.Reads)+i]
+		}
+	}
+	return nil
 }
 
 // attributeRanges maps the record's read/written address ranges to live
@@ -301,7 +384,7 @@ func (c *Collector) attributeRanges(info *APIInfo, rec *gpu.APIRecord) {
 func (c *Collector) OnAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess) {
 	sp := c.obsBatchNode.Start()
 	if c.sink != nil && rec.Instrumented {
-		c.sink.ObjectAccessBatch(rec, c.resolveBatch(batch), c.trace.Objects)
+		c.sink.ObjectAccessBatch(rec, c.resolveBatch(batch), *c.sinkObjs.Load())
 	} else if c.hostTrace {
 		for i := range batch {
 			if a := &batch[i]; a.Space == gpu.SpaceGlobal {
