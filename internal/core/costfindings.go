@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"drgpum/internal/costmodel"
 	"drgpum/internal/pattern"
 	"drgpum/internal/trace"
@@ -58,16 +56,12 @@ func detectUncoalesced(t *trace.Trace, spec costmodel.Spec, cfg CostModelConfig)
 
 // dominantKernel picks the kernel contributing the most excess transactions
 // (ties broken by name order for determinism).
-func dominantKernel(byKernel map[string]costmodel.ObjectCost) string {
-	names := make([]string, 0, len(byKernel))
-	for k := range byKernel {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+func dominantKernel(byKernel []trace.KernelCost) string {
 	best, bestExcess := "", uint64(0)
-	for _, k := range names {
-		if e := byKernel[k].ExcessTransactions(); best == "" || e > bestExcess {
-			best, bestExcess = k, e
+	for i, kc := range byKernel {
+		e := kc.Cost.ExcessTransactions()
+		if i == 0 || e > bestExcess || e == bestExcess && kc.Kernel < best {
+			best, bestExcess = kc.Kernel, e
 		}
 	}
 	return best

@@ -334,24 +334,39 @@ func appendWrapped(dst []byte, s string, width int, contPrefix string) []byte {
 // nextField returns the bounds of the first word of s at or after byte
 // i, where words are the runs of non-space runes (unicode.IsSpace) that
 // strings.Fields returns. start == end == len(s) when no word is left.
+// An ASCII byte, the common case, is looked up without decoding, as
+// strings.Fields does.
 func nextField(s string, i int) (start, end int) {
 	for i < len(s) {
-		r, n := utf8.DecodeRuneInString(s[i:])
-		if !unicode.IsSpace(r) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if r, n := utf8.DecodeRuneInString(s[i:]); unicode.IsSpace(r) {
+			i += n
+		} else {
 			break
 		}
-		i += n
 	}
 	start = i
 	for i < len(s) {
-		r, n := utf8.DecodeRuneInString(s[i:])
-		if unicode.IsSpace(r) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			i++
+		} else if r, n := utf8.DecodeRuneInString(s[i:]); !unicode.IsSpace(r) {
+			i += n
+		} else {
 			break
 		}
-		i += n
 	}
 	return start, i
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // indent prefixes every line of s.
 func indent(s, prefix string) string {

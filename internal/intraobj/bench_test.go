@@ -113,6 +113,22 @@ func BenchmarkRecorderIngest(b *testing.B) {
 		run(b, 1, objs, sweep(objs[0], elems, 4))
 	})
 
+	// sparse-1M: a new recorder's first kernel, which touches 24 elements
+	// at the front of a 1 Mi-element object, the shape of miniMDock's
+	// pMem_conformations (paper §7.6): making the object's maps, not
+	// updating them, is the cost.
+	b.Run("sparse-1M", func(b *testing.B) {
+		objs := benchObjects(1, 1<<20)
+		acc := sweep(objs[0], 24, 4)
+		rec := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Instrumented: true}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := NewRecorder(0)
+			deliver(r, objs, rec, acc)
+			r.Flush()
+		}
+	})
+
 	// many-objects: 256 tracked objects but each kernel touches only one —
 	// the per-API finalization cost must scale with the touched set, not
 	// with every object ever seen.
@@ -159,7 +175,9 @@ var summarySink summary
 // unstructured objects are read at stride 1, 4 or 8 by four kernels, with
 // the first half read once more, or at random elements four times per
 // element on average; the structured object is read by eight kernels, each
-// its own slice, slice k k+1 times.
+// its own slice, slice k k+1 times. The sparse object has 1 Mi elements,
+// of which three kernels read the first 24 (miniMDock's
+// pMem_conformations).
 func BenchmarkSummarize(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -191,27 +209,37 @@ func BenchmarkSummarize(b *testing.B) {
 			return ks
 		}},
 	}
+	// run times summarize over the state the kernels leave.
+	run := func(b *testing.B, elems int, kernels func(o *trace.Object, elems int) [][]gpu.MemAccess, structured bool) {
+		objs := benchObjects(1, elems)
+		r := NewRecorder(0)
+		for k, acc := range kernels(objs[0], elems) {
+			deliver(r, objs, &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Index: uint64(k), Instrumented: true}, acc)
+		}
+		r.Flush()
+		st := r.state(0)
+		if st.structured() != structured {
+			b.Fatalf("structured() = %v", st.structured())
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			summarySink = st.summarize()
+		}
+	}
 	for _, elems := range []int{4 << 10, 64 << 10} {
 		for _, shape := range shapes {
 			b.Run(fmt.Sprintf("%dK/%s", elems>>10, shape.name), func(b *testing.B) {
-				objs := benchObjects(1, elems)
-				r := NewRecorder(0)
-				for k, acc := range shape.kernels(objs[0], elems) {
-					deliver(r, objs, &gpu.APIRecord{Kind: gpu.APIKernel, Name: "k", Index: uint64(k), Instrumented: true}, acc)
-				}
-				r.Flush()
-				st := r.state(0)
-				if st.structured() != (shape.name == "structured") {
-					b.Fatalf("structured() = %v", st.structured())
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					summarySink = st.summarize()
-				}
+				run(b, elems, shape.kernels, shape.name == "structured")
 			})
 		}
 	}
+	b.Run("1M/sparse", func(b *testing.B) {
+		run(b, 1<<20, func(o *trace.Object, elems int) [][]gpu.MemAccess {
+			acc := sweep(o, 24, 4)
+			return [][]gpu.MemAccess{acc, acc, acc}
+		}, false)
+	})
 }
 
 // streamObjects returns the objects of a streamed training loop of n

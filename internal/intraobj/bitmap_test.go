@@ -105,7 +105,7 @@ func TestBitmapLargestZeroRun(t *testing.T) {
 
 // bitmapSummary summarizes an object whose cumulative bitmap is b.
 func bitmapSummary(b *Bitmap) summary {
-	st := &objState{elems: b.Len(), total: b, freqDiff: make([]uint32, b.Len()+1)}
+	st := &objState{elems: b.Len(), total: b, freq: make([][]uint32, b.Len()>>pageShift+1)}
 	return st.summarize()
 }
 

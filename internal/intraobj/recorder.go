@@ -37,35 +37,24 @@ type ModeStats struct {
 	HostKernels   int
 }
 
-// objState is the per-object intra-object bookkeeping.
+// A frequency page holds pageSlots slots of an object's frequency
+// difference array: 4 KiB, a size class of the Go allocator, so a full
+// page wastes no byte of its allocation.
+const (
+	pageShift = 10
+	pageSlots = 1 << pageShift
+	pageMask  = pageSlots - 1
+)
+
+// objState is the per-object intra-object bookkeeping. The fields a
+// pointwise access reads and writes come first, together.
 type objState struct {
-	obj   *trace.Object
-	elems int
-
-	// base is the object's address and es its element width (ElemWidth);
-	// shift is log2(es) when es is a power of two and -1 otherwise, so a
-	// byte offset becomes an element index by a shift or, failing that, a
-	// division. beginAPI refreshes all three: Annotate may set the element
-	// size after the state was created.
-	base  gpu.DevicePtr
-	es    uint64
-	shift int
-
-	// cumulative access bitmap across all instrumented kernels — drives
-	// overallocation and the structured-access "claimed" check.
-	total *Bitmap
-	// freqDiff holds the cumulative per-element access frequencies across
-	// all kernels, which the reports' histograms and the NUAF variation
-	// read, as a difference array of elems+1 slots: an access covering
-	// [lo, hi] costs two updates (freqDiff[lo]++, freqDiff[hi+1]--)
-	// regardless of width, the last slot holds the -1 marker of a range
-	// ending at the last element, and element i's frequency is the prefix
-	// sum of slots 0..i, which summarize takes in its index-order passes.
-	// uint32 wraparound makes the -1 markers cancel. True frequencies must
-	// fit in uint32, the bound a dense uint32 map has; within it the prefix
-	// sums are exact, and curTotal, a sum of access widths, equals the sum
-	// of the API's per-element counts.
-	freqDiff []uint32
+	// page is the frequency page of the end marker the last update outside
+	// it wrote, and pageLo the index of its first slot, so an access whose
+	// two slots fall on it reads no page table, and a pointwise one is
+	// applied inline in the ingest loop (point).
+	page   []uint32
+	pageLo int
 
 	// current-API state (paper §5.2, non-uniform access frequency
 	// procedure). curTouched marks the elements the API touched and
@@ -77,9 +66,52 @@ type objState struct {
 	curLo      int
 	curHi      int
 	curTotal   uint64
-	curAPI     uint64
-	curKernel  string
-	curActive  bool
+
+	// base is the object's address and es its element width (ElemWidth);
+	// shift is log2(es) when es is a power of two and -1 otherwise, so a
+	// byte offset becomes an element index by a shift or, failing that, a
+	// division. beginAPI refreshes all three: Annotate may set the element
+	// size after the state was created. curActive is set while the
+	// in-flight API has touched the object.
+	base      gpu.DevicePtr
+	es        uint64
+	shift     int8
+	curActive bool
+
+	// structured-access state. saViolated records an overlap between two
+	// APIs' touched regions; saNonContig records that some API's touched
+	// region was not a contiguous slice.
+	saViolated  bool
+	saNonContig bool
+	apiTouches  int
+
+	obj   *trace.Object
+	elems int
+
+	// freq holds the cumulative per-element access frequencies across all
+	// kernels, which the reports' histograms and the NUAF variation read,
+	// as a difference array of elems+1 slots: an access covering [lo, hi]
+	// costs two updates (slot lo +1, slot hi+1 -1) regardless of width,
+	// the last slot holds the -1 marker of a range ending at the last
+	// element, and element i's frequency is the prefix sum of slots 0..i,
+	// which summarize takes in its index-order passes. uint32 wraparound
+	// makes the -1 markers cancel. True frequencies must fit in uint32,
+	// the bound a dense uint32 map has; within it the prefix sums are
+	// exact, and curTotal, a sum of access widths, equals the sum of the
+	// API's per-element counts.
+	//
+	// The slots are stored in pages of pageSlots behind this page table,
+	// the last page ending at slot elems, and a page is allocated when an
+	// update first reaches it. An update allocates every page from its
+	// first slot's through its end marker's, so no range covers an element
+	// of a page that does not exist: there the prefix sum is zero, and
+	// summarize skips the page. An object's maps thus grow with the
+	// elements kernels touch, not with its size.
+	freq [][]uint32
+
+	// cumulative access bitmap across all instrumented kernels — drives
+	// overallocation and the structured-access "claimed" check.
+	total *Bitmap
 
 	// host-mode spill buffer for the current API.
 	spill []spilledAccess
@@ -95,16 +127,9 @@ type objState struct {
 	hotKernelTotal uint64
 	lastAPI        uint64
 
-	// structured-access state. saViolated records an overlap between two
-	// APIs' touched regions; saNonContig records that some API's touched
-	// region was not a contiguous slice.
-	saViolated  bool
-	saNonContig bool
-	apiTouches  int
-
 	// sealed is the object's summary once the streaming window manager
 	// freezes a freed object (Seal), which hands the O(elements) maps
-	// above to the recorder's spare.
+	// above to the recorder's spare and free list.
 	sealed *summary
 }
 
@@ -139,15 +164,20 @@ type Recorder struct {
 	// all tracked objects (what mapBytes re-summed before every kernel).
 	mapBytesTotal uint64
 
-	// spare holds the maps of one sealed object for the next object's
-	// first touch (paper §5.2: DrGPUM zeros out its maps at each API
+	// spare holds the bitmaps of one sealed object for the next object's
+	// first touch, and free the full frequency pages of sealed objects for
+	// later pages (paper §5.2: DrGPUM zeros out its maps at each API
 	// rather than allocating them). Seal keeps the larger of its object's
-	// maps and the spare's, and drops the spare once no tracked object is
+	// bitmaps and the spare's, and drops both once no tracked object is
 	// left unsealed: unsealed counts them.
 	spare    spareMaps
+	free     pageList
 	unsealed int
 
+	// curAPI and curKernel are the index and kernel name of the in-flight
+	// API.
 	curAPI    uint64
+	curKernel string
 	curMode   MapMode
 	haveAPI   bool
 	modeStats ModeStats
@@ -167,13 +197,51 @@ type Recorder struct {
 
 var _ trace.AccessSink = (*Recorder)(nil)
 
-// spareMaps is one sealed object's per-element arrays at full capacity:
-// its frequency difference array and its cumulative and per-API bitmaps.
-// freqDiff was made at elems+1 slots and the bitmaps at elems bits, so an
-// object whose elems+1 slots fit in cap(freqDiff) fits in both bitmaps.
+// spareMaps is one sealed object's bitmaps at full capacity: its
+// cumulative and per-API bitmaps, both made at the same number of bits.
 type spareMaps struct {
-	freqDiff       []uint32
 	total, touched *Bitmap
+}
+
+// pageList is the recorder's free list of frequency pages of pageSlots
+// capacity. It holds at most as many pages as the sealed object with the
+// most such pages had, as the spare keeps the larger of two objects'
+// bitmaps, so a streamed loop whose objects are freed in turn allocates
+// its pages once.
+type pageList struct {
+	pages [][]uint32
+	limit int
+}
+
+// get returns a page of n zero slots: one taken from the list and
+// cleared, when the list holds one.
+func (l *pageList) get(n int) []uint32 {
+	k := len(l.pages) - 1
+	if k < 0 {
+		return make([]uint32, n)
+	}
+	p := l.pages[k][:n]
+	l.pages[k] = nil
+	l.pages = l.pages[:k]
+	clear(p)
+	return p
+}
+
+// put adds the pages of pageSlots capacity of a sealed object's page
+// table to the list, up to its limit.
+func (l *pageList) put(table [][]uint32) {
+	full := 0
+	for _, p := range table {
+		if cap(p) == pageSlots {
+			l.pages = append(l.pages, p)
+			full++
+		}
+	}
+	l.limit = max(l.limit, full)
+	if len(l.pages) > l.limit {
+		clear(l.pages[l.limit:])
+		l.pages = l.pages[:l.limit]
+	}
 }
 
 // NewRecorder creates a recorder with the given device memory capacity used
@@ -259,8 +327,8 @@ func (r *Recorder) ObjectAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess, 
 		}
 		if host {
 			st.addSpill(lo, hi)
-		} else {
-			st.update(lo, hi)
+		} else if lo != hi || !st.point(lo) {
+			st.update(lo, hi, &r.free)
 		}
 	}
 }
@@ -270,6 +338,7 @@ func (r *Recorder) ObjectAccessBatch(rec *gpu.APIRecord, batch []gpu.MemAccess, 
 func (r *Recorder) startAPI(rec *gpu.APIRecord) {
 	r.finalizeAPI()
 	r.curAPI = rec.Index
+	r.curKernel = rec.Name
 	r.haveAPI = true
 	r.curMode = r.chooseMode()
 	if r.curMode == MapModeDevice {
@@ -294,7 +363,7 @@ func (r *Recorder) activate(o *trace.Object, rec *gpu.APIRecord) *objState {
 		r.mapBytesTotal += uint64(st.elems)/8 + uint64(st.elems)*4
 	}
 	if !st.curActive {
-		st.beginAPI(rec.Index, rec.Name)
+		st.beginAPI()
 		r.active = append(r.active, st)
 	}
 	return st
@@ -309,22 +378,20 @@ func (r *Recorder) state(id int) *objState {
 	return nil
 }
 
-// newObjState creates object o's state at its first touch, with its maps
-// taken from the spare when they fit: the spare's frequency array and
-// cumulative bitmap are cleared over the slots the object uses, and its
-// per-API bitmap is clean, since finalization wipes what each API set.
+// newObjState creates object o's state at its first touch, with an empty
+// page table and its bitmaps taken from the spare when they fit: the
+// spare's cumulative bitmap is cleared over the words the object uses,
+// and its per-API bitmap is clean, since finalization wipes what each
+// API set.
 func (r *Recorder) newObjState(o *trace.Object) *objState {
 	elems := o.Elems()
-	st := &objState{obj: o, elems: elems}
-	if sp := r.spare; cap(sp.freqDiff) >= elems+1 {
-		st.freqDiff = sp.freqDiff[:elems+1]
-		clear(st.freqDiff)
+	st := &objState{obj: o, elems: elems, freq: make([][]uint32, elems>>pageShift+1)}
+	if sp := r.spare; sp.total != nil && cap(sp.total.words) >= (elems+63)/64 {
 		st.total = sp.total.resize(elems)
 		clear(st.total.words)
 		st.curTouched = sp.touched.resize(elems)
 		r.spare = spareMaps{}
 	} else {
-		st.freqDiff = make([]uint32, elems+1)
 		st.total = NewBitmap(elems)
 		st.curTouched = NewBitmap(elems)
 	}
@@ -343,42 +410,46 @@ func (b *Bitmap) resize(n int) *Bitmap {
 // access"). finalizeAPI wipes the touched bitmap window-at-a-time and the
 // frequency updates accumulate in place, so opening costs nothing per
 // element.
-func (st *objState) beginAPI(api uint64, kernel string) {
+func (st *objState) beginAPI() {
 	st.curLo, st.curHi = st.elems, -1
 	st.curTotal = 0
 	st.base = st.obj.Ptr
 	st.es = st.obj.ElemWidth()
 	st.shift = -1
 	if st.es&(st.es-1) == 0 {
-		st.shift = bits.TrailingZeros64(st.es)
+		st.shift = int8(bits.TrailingZeros64(st.es))
 	}
-	st.curAPI = api
-	st.curKernel = kernel
 	st.curActive = true
 	st.spill = st.spill[:0]
 }
 
-// update applies one access covering elements [lo, hi] to the maps: two
-// difference-array stores, one add to the API's total and one word-level
-// bitmap range set, independent of the access width. Single-element
-// accesses (the pointwise kernel shape) skip the range machinery entirely.
-func (st *objState) update(lo, hi int) {
-	if lo == hi {
-		if uint(lo) >= uint(st.elems) {
-			return
-		}
-		st.freqDiff[lo]++
-		st.freqDiff[lo+1]--
-		st.curTotal++
-		st.curTouched.words[lo>>6] |= 1 << (uint(lo) & 63)
-		if lo < st.curLo {
-			st.curLo = lo
-		}
-		if lo > st.curHi {
-			st.curHi = lo
-		}
-		return
+// point applies a pointwise access to element lo when both its slots
+// fall on the cached page, and reports whether they did: two stores, one
+// add to the API's total and one bitmap bit, with no page-table read.
+// It is small enough to inline into the ingest loop. A page holds no
+// slot past elems, so both slots on the page put lo within the object.
+func (st *objState) point(lo int) bool {
+	p, i := st.page, lo-st.pageLo
+	if i < 0 || i >= len(p)-1 {
+		return false
 	}
+	p[i]++
+	p[i+1]--
+	st.curTotal++
+	st.curTouched.words[lo>>6] |= 1 << (uint(lo) & 63)
+	st.curLo = min(st.curLo, lo)
+	st.curHi = max(st.curHi, lo)
+	return true
+}
+
+// update applies one access covering elements [lo, hi], clamped to the
+// object, to the maps: two difference-array stores, one add to the API's
+// total and one word-level bitmap range set, independent of the access
+// width. The stores go to the cached page when both slots fall on it, and
+// otherwise through the page table, after which the end marker's page,
+// where a sweep's next access starts, is the cached page. Pages come from
+// free when it holds one.
+func (st *objState) update(lo, hi int, free *pageList) {
 	if lo < 0 {
 		lo = 0
 	}
@@ -388,16 +459,32 @@ func (st *objState) update(lo, hi int) {
 	if lo > hi {
 		return
 	}
-	st.freqDiff[lo]++
-	st.freqDiff[hi+1]--
+	end := hi + 1
+	if p, i, j := st.page, lo-st.pageLo, end-st.pageLo; i >= 0 && j < len(p) {
+		p[i]++
+		p[j]--
+	} else {
+		st.mark(lo, end, free)
+		st.page, st.pageLo = st.freq[end>>pageShift], end&^pageMask
+	}
 	st.curTotal += uint64(hi - lo + 1)
 	st.curTouched.SetRange(lo, hi)
-	if lo < st.curLo {
-		st.curLo = lo
+	st.curLo = min(st.curLo, lo)
+	st.curHi = max(st.curHi, hi)
+}
+
+// mark adds one to slot lo and subtracts one from slot end, first
+// allocating every missing page from lo's through end's, so that a page
+// no range reaches stays unallocated and summarize can skip it.
+func (st *objState) mark(lo, end int, free *pageList) {
+	first, last := lo>>pageShift, end>>pageShift
+	for k := first; k <= last; k++ {
+		if st.freq[k] == nil {
+			st.freq[k] = free.get(min(pageSlots, st.elems+1-k<<pageShift))
+		}
 	}
-	if hi > st.curHi {
-		st.curHi = hi
-	}
+	st.freq[first][lo&pageMask]++
+	st.freq[last][end&pageMask]--
 }
 
 // addSpill buffers a host-mode access for replay at kernel end, coalescing
@@ -431,7 +518,7 @@ func (r *Recorder) finalizeAPI() {
 	}
 	sp := r.finalizeNode.Start()
 	for _, st := range r.active {
-		spills, words := st.finalizeObj()
+		spills, words := r.finalizeObj(st)
 		r.spillTotal += spills
 		r.wordTotal += words
 	}
@@ -441,10 +528,12 @@ func (r *Recorder) finalizeAPI() {
 
 // finalizeObj closes out one object's per-API maps and returns the spill
 // and bitmap-word counts it consumed, which finalizeAPI accumulates.
-func (st *objState) finalizeObj() (spills, words uint64) {
+func (r *Recorder) finalizeObj(st *objState) (spills, words uint64) {
 	spills = uint64(len(st.spill))
 	for _, s := range st.spill {
-		st.update(s.lo, s.hi)
+		if s.lo != s.hi || !st.point(s.lo) {
+			st.update(s.lo, s.hi, &r.free)
+		}
 	}
 	st.spill = st.spill[:0]
 
@@ -469,8 +558,8 @@ func (st *objState) finalizeObj() (spills, words uint64) {
 	}
 	if st.curTotal > st.hotKernelTotal {
 		st.hotKernelTotal = st.curTotal
-		st.hotKernel = st.curKernel
-		st.lastAPI = st.curAPI
+		st.hotKernel = r.curKernel
+		st.lastAPI = r.curAPI
 	}
 	st.curActive = false
 	return spills, words

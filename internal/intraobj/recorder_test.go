@@ -315,10 +315,11 @@ func TestFrequencyHistogram(t *testing.T) {
 }
 
 // TestSealReusesMaps runs a streamed training loop: a sealed activation's
-// maps serve the next activation, which is never larger than the first,
-// so after warm-up an epoch allocates less than one activation's
-// frequency array; and sealing the weights, the last open object, drops
-// the spare.
+// bitmaps and full frequency pages serve the next activation, which is
+// never larger than the first, so after warm-up an epoch allocates less
+// than one activation's frequency array; a sealed state keeps no map,
+// its cached page included; and sealing the weights, the last open
+// object, drops the spare and empties the free list.
 func TestSealReusesMaps(t *testing.T) {
 	const elems, warm, epochs = 4096, 4, 64
 	objs := streamObjects(warm+epochs, elems)
@@ -339,12 +340,54 @@ func TestSealReusesMaps(t *testing.T) {
 	if perEpoch := (after.TotalAlloc - before.TotalAlloc) / epochs; perEpoch >= freqBytes {
 		t.Errorf("an epoch allocated %d bytes, no less than a %d-byte frequency array", perEpoch, freqBytes)
 	}
-	if r.spare.freqDiff == nil {
-		t.Error("no spare while the weights are open")
+	if r.spare.total == nil || len(r.free.pages) != elems/pageSlots {
+		t.Errorf("while the weights are open: spare %v, %d free pages, want %d", r.spare.total != nil, len(r.free.pages), elems/pageSlots)
 	}
+	// A pointwise read caches one of the weights' pages, which the seal
+	// must drop with the rest.
+	rec.Index++
+	r.ObjectAccessBatch(rec, []gpu.MemAccess{elemRead(objs[0], elems-7)}, objs)
 	r.Seal(0)
-	if r.unsealed != 0 || r.spare.freqDiff != nil || r.spare.total != nil || r.spare.touched != nil {
-		t.Errorf("after the last seal: %d unsealed, spare %d slots", r.unsealed, cap(r.spare.freqDiff))
+	for id := 0; id <= warm+epochs; id++ {
+		if st := r.state(id); st.page != nil || st.freq != nil || st.total != nil || st.curTouched != nil {
+			t.Fatalf("sealed object %d keeps a map", id)
+		}
+	}
+	if r.unsealed != 0 || r.spare.total != nil || r.spare.touched != nil || r.free.pages != nil || r.free.limit != 0 {
+		t.Errorf("after the last seal: %d unsealed, spare %v, %d free pages of limit %d",
+			r.unsealed, r.spare.total != nil, len(r.free.pages), r.free.limit)
+	}
+}
+
+// TestPageListKeepsTheLargerSet checks the free list's bound: it keeps
+// the pages of pageSlots capacity it is handed up to the most that one
+// sealed object had, and hands them out cleared at the length asked.
+func TestPageListKeepsTheLargerSet(t *testing.T) {
+	page := func() []uint32 {
+		p := make([]uint32, pageSlots)
+		p[pageSlots-1] = 7
+		return p
+	}
+	var l pageList
+	for _, c := range []struct {
+		table    [][]uint32
+		len, lim int
+	}{
+		{[][]uint32{page(), nil, page(), make([]uint32, 10)}, 2, 2},
+		{[][]uint32{page()}, 2, 2},
+		{[][]uint32{page(), page(), page()}, 3, 3},
+	} {
+		l.put(c.table)
+		if len(l.pages) != c.len || l.limit != c.lim {
+			t.Fatalf("after put: %d pages, limit %d; want %d, %d", len(l.pages), l.limit, c.len, c.lim)
+		}
+	}
+	p := l.get(pageSlots)
+	if len(p) != pageSlots || p[pageSlots-1] != 0 || len(l.pages) != 2 {
+		t.Errorf("get: %d slots, last %d, %d left", len(p), p[pageSlots-1], len(l.pages))
+	}
+	if p := l.get(10); len(p) != 10 || cap(p) != pageSlots {
+		t.Errorf("get(10): len %d cap %d", len(p), cap(p))
 	}
 }
 

@@ -233,6 +233,39 @@ func checkHistogram(t *testing.T, what string, h []uint64, want summary) {
 	}
 }
 
+// TestSparseObjectMapsArePaged profiles the shape of miniMDock's
+// pMem_conformations (paper §7.6): three kernels each read and write the
+// first 24 of a 1 Mi-element buffer's elements. The object's frequency
+// map holds one page, and its summary equals the reference's.
+func TestSparseObjectMapsArePaged(t *testing.T) {
+	const elems, touched = 1 << 20, 24
+	o := &trace.Object{Ptr: 0x1000_0000, Size: elems * 4, ElemSize: 4}
+	objs := []*trace.Object{o}
+	m := &refObject{obj: o, freq: make([]uint64, elems)}
+	r := NewRecorder(0)
+	for k := 0; k < 3; k++ {
+		api := &gpu.APIRecord{Kind: gpu.APIKernel, Name: "docking_kernel", Index: uint64(k), Instrumented: true}
+		var batch []gpu.MemAccess
+		for i := 0; i < touched; i++ {
+			batch = append(batch, elemRead(o, i), elemRead(o, i))
+		}
+		r.ObjectAccessBatch(api, batch, objs)
+		m.deliver(api, batch)
+	}
+	r.Flush()
+	st := r.state(0)
+	pages := 0
+	for _, p := range st.freq {
+		if p != nil {
+			pages++
+		}
+	}
+	if pages != 1 {
+		t.Errorf("%d frequency pages for %d touched elements, want 1", pages, touched)
+	}
+	checkSummary(t, "sparse", st.summarize(), refSummary(m))
+}
+
 // fuzzBytes reads a fuzz input one byte at a time, zeros once it runs out.
 type fuzzBytes struct{ b []byte }
 
@@ -249,21 +282,24 @@ func (r *fuzzBytes) next() int {
 // 12-byte struct, whose offsets become element indices by division.
 var fuzzElemSizes = [...]uint32{1, 4, 8, 12}
 
-// FuzzSummaryMatchesReference decodes objects of 1-300 elements and a few
-// kernels of pointwise, ranged, strided and slice-shaped accesses to them,
-// delivers the kernels to a recorder and to a refObject per object, and
-// checks every object against its model: the per-API totals, the
-// structured-access verdict and the hot kernel of the live state, and the
-// summary, computed from the live maps, stored by Seal between kernels or
-// after the last, and read back through Detect, FrequencyHistogram and
-// AccessedPctOf. Sealing an object between kernels hands its maps to a
-// later object's first touch when they fit.
+// FuzzSummaryMatchesReference decodes objects of 1-300 elements, or of up
+// to 20 frequency pages, and a few kernels of pointwise, ranged, strided
+// and slice-shaped accesses to them, delivers the kernels to a recorder
+// and to a refObject per object, and checks every object against its
+// model: the per-API totals, the structured-access verdict and the hot
+// kernel of the live state, and the summary, computed from the live maps,
+// stored by Seal between kernels or after the last, and read back through
+// Detect, FrequencyHistogram and AccessedPctOf. Sealing an object between
+// kernels hands its bitmaps and full pages to later objects.
 //
 // Input layout: flags (bit 0 host-side map updates, bit 1 seal an object
-// after each kernel), the object count, per object two bytes of element
-// count and one of element size, the kernel count, then per kernel its
-// access groups: a count, and per group the object, the shape, a start,
-// a length, a stride or byte offset and a repeat count.
+// after each kernel, bit 2 wide objects), the object count, per object
+// two bytes of element count and one of element size, the kernel count,
+// then per kernel its access groups: a count, and per group the object,
+// the shape, a start, a length, a stride or byte offset and a repeat
+// count. Wide objects have up to 20*pageSlots elements, their starts take
+// two bytes, so they spread over every page, and their ranged accesses
+// are 64 times longer, so they span pages.
 func FuzzSummaryMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{b: data}
@@ -272,12 +308,17 @@ func FuzzSummaryMatchesReference(f *testing.F) {
 		if flags&1 != 0 {
 			capacity = 1
 		}
+		wide := flags&4 != 0
+		maxElems := 300
+		if wide {
+			maxElems = 20 * pageSlots
+		}
 		rec := NewRecorder(capacity)
 
 		objs := make([]*trace.Object, 1+r.next()%4)
 		model := make([]*refObject, len(objs))
 		for i := range objs {
-			elems := 1 + (r.next()<<8|r.next())%300
+			elems := 1 + (r.next()<<8|r.next())%maxElems
 			es := fuzzElemSizes[r.next()%len(fuzzElemSizes)]
 			objs[i] = &trace.Object{
 				ID:       trace.ObjectID(i),
@@ -316,10 +357,14 @@ func FuzzSummaryMatchesReference(f *testing.F) {
 			var batch []gpu.MemAccess
 			for g := r.next() % 6; g > 0; g-- {
 				id := r.next() % len(objs)
-				shape, start, length, param, reps := r.next(), r.next(), r.next(), r.next(), r.next()%3+1
+				shape, start := r.next(), r.next()
+				if wide {
+					start = start<<8 | r.next()
+				}
+				length, param, reps := r.next(), r.next(), r.next()%3+1
 				// A sealed object was freed: no access reaches it.
 				if !sealed[id] {
-					batch = fuzzAccesses(batch, objs[id], shape, start, length, param, reps, k, kernels)
+					batch = fuzzAccesses(batch, objs[id], shape, start, length, param, reps, k, kernels, wide)
 				}
 			}
 			rec.ObjectAccessBatch(api, batch, objs)
@@ -349,10 +394,10 @@ func FuzzSummaryMatchesReference(f *testing.F) {
 }
 
 // fuzzAccesses appends one group of accesses to object o, shaped by shape:
-// pointwise element reads from start, one ranged access of length bytes at
-// a byte offset, strided element reads, or kernel k's slice of kernels
-// equal slices, each repeated reps times.
-func fuzzAccesses(batch []gpu.MemAccess, o *trace.Object, shape, start, length, param, reps, k, kernels int) []gpu.MemAccess {
+// pointwise element reads from start, one ranged access of about length/4
+// elements (16*length when wide) at a byte offset, strided element reads,
+// or kernel k's slice of kernels equal slices, each repeated reps times.
+func fuzzAccesses(batch []gpu.MemAccess, o *trace.Object, shape, start, length, param, reps, k, kernels int, wide bool) []gpu.MemAccess {
 	elems := o.Elems()
 	es := int(o.ElemSize)
 	add := func(off, size int) {
@@ -373,7 +418,11 @@ func fuzzAccesses(batch []gpu.MemAccess, o *trace.Object, shape, start, length, 
 				add(i*es, es)
 			}
 		case 1: // ranged, at any byte offset
-			add(start*es+param%es, 1+length*es/4)
+			if wide {
+				add(start*es+param%es, 1+length*es*16)
+			} else {
+				add(start*es+param%es, 1+length*es/4)
+			}
 		case 2: // strided
 			for i := start; i < elems; i += 1 + param%8 {
 				add(i*es, es)

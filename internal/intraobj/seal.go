@@ -24,9 +24,10 @@ type summary struct {
 // allocating: one count of the bitmap (plus its longest clear run when some
 // element is unaccessed), one prefix-sum pass over the frequency difference
 // array for the histogram and the nonzero frequencies' count and sum, and
-// one more over the samples for their squared deviations. Sums run in
-// index order, so every float equals the one the sample-slice formulas of
-// §3.2 compute.
+// one more over the samples for their squared deviations. Both passes skip
+// the pages that do not exist, where every frequency is zero, and sums run
+// in index order, so every float equals the one the sample-slice formulas
+// of §3.2 compute.
 func (st *objState) summarize() summary {
 	var s summary
 	s.count = st.total.Count()
@@ -49,7 +50,8 @@ func (st *objState) summarize() summary {
 	}
 
 	// Bucket b holds the elements i with i*histBuckets/elems == b: from
-	// ceil(b*elems/histBuckets) up to the next bucket's bound.
+	// ceil(b*elems/histBuckets) up to the next bucket's bound, read a page
+	// at a time.
 	var samples int
 	var sum float64
 	var f uint32 // the running prefix sum: the current element's frequency
@@ -57,15 +59,21 @@ func (st *objState) summarize() summary {
 	for b := range s.hist {
 		hi := ((b+1)*st.elems + histBuckets - 1) / histBuckets
 		var t uint64
-		for _, delta := range st.freqDiff[lo:hi] {
-			if f += delta; f != 0 {
-				t += uint64(f)
-				samples++
-				sum += float64(f)
+		for lo < hi {
+			end := min(hi, (lo|pageMask)+1)
+			if p := st.freq[lo>>pageShift]; p != nil {
+				off := lo & pageMask
+				for _, delta := range p[off : off+end-lo] {
+					if f += delta; f != 0 {
+						t += uint64(f)
+						samples++
+						sum += float64(f)
+					}
+				}
 			}
+			lo = end
 		}
 		s.hist[b] = t
-		lo = hi
 	}
 
 	// Variation (Definition 3.9) over the run's cumulative frequencies: per
@@ -86,10 +94,14 @@ func (st *objState) summarize() summary {
 	} else if samples >= 2 {
 		mean = sum / float64(samples)
 		f = 0
-		for _, delta := range st.freqDiff[:st.elems] {
-			if f += delta; f != 0 {
-				d := float64(f) - mean
-				ss += d * d
+		// The last slot, slot elems, is no element, but every range has
+		// ended by it: its prefix sum is zero, and it adds no sample.
+		for _, p := range st.freq {
+			for _, delta := range p {
+				if f += delta; f != 0 {
+					d := float64(f) - mean
+					ss += d * d
+				}
 			}
 		}
 	}
@@ -110,14 +122,15 @@ func (st *objState) summary(buf *summary) *summary {
 }
 
 // Seal finalizes the in-flight API and freezes the intra-object state of
-// object id into its summary, releasing its per-API buffers and handing its
-// bitmaps and frequency array to the recorder's spare, which keeps the
-// larger of them and the spare's own until a later object's first touch
-// takes it, and keeps nothing once every tracked object is sealed. The
-// streaming window manager calls this when the object is freed: no further
-// access can attribute to it (the collector delisted its range), so every
-// input to the summary is final, and Detect, FrequencyHistogram and
-// AccessedPctOf read the stored summary instead of the maps.
+// object id into its summary, releasing its per-API buffers, handing its
+// full frequency pages to the recorder's free list and its bitmaps to the
+// recorder's spare, which keeps the larger of them and the spare's own
+// until a later object's first touch takes it. Once every tracked object
+// is sealed the recorder keeps neither. The streaming window manager calls
+// this when the object is freed: no further access can attribute to it
+// (the collector delisted its range), so every input to the summary is
+// final, and Detect, FrequencyHistogram and AccessedPctOf read the stored
+// summary instead of the maps.
 //
 // Finalizing the in-flight API early is equivalent to the offline schedule:
 // a free's OnAPI arrives after the accessed kernel's OnAPI, so the closed
@@ -134,12 +147,15 @@ func (r *Recorder) Seal(id int) {
 	s := st.summarize()
 	st.sealed = &s
 	if r.unsealed--; r.unsealed == 0 {
-		r.spare = spareMaps{}
-	} else if cap(st.freqDiff) > cap(r.spare.freqDiff) {
-		r.spare = spareMaps{st.freqDiff, st.total, st.curTouched}
+		r.spare, r.free = spareMaps{}, pageList{}
+	} else {
+		r.free.put(st.freq)
+		if sp := r.spare.total; sp == nil || cap(st.total.words) > cap(sp.words) {
+			r.spare = spareMaps{st.total, st.curTouched}
+		}
 	}
+	st.page, st.freq = nil, nil
 	st.total = nil
-	st.freqDiff = nil
 	st.curTouched = nil
 	st.spill = nil
 	st.sliceTotals = nil

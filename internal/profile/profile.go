@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 
 	"drgpum/internal/callpath"
 	"drgpum/internal/costmodel"
@@ -236,11 +237,11 @@ func Save(t *trace.Trace, meta Meta, w io.Writer) error {
 			c := costJSON(o.Cost)
 			oj.Cost = &c
 		}
-		for k, c := range o.CostByKernel {
+		for _, kc := range o.CostByKernel {
 			if oj.CostByKernel == nil {
 				oj.CostByKernel = make(map[string]costJSON, len(o.CostByKernel))
 			}
-			oj.CostByKernel[k] = costJSON(c)
+			oj.CostByKernel[kc.Kernel] = costJSON(kc.Cost)
 		}
 		f.Objects = append(f.Objects, oj)
 	}
@@ -381,11 +382,15 @@ func Load(r io.Reader) (*trace.Trace, Meta, error) {
 		if oj.Cost != nil {
 			o.Cost = costmodel.ObjectCost(*oj.Cost)
 		}
-		for k, c := range oj.CostByKernel {
-			if o.CostByKernel == nil {
-				o.CostByKernel = make(map[string]costmodel.ObjectCost, len(oj.CostByKernel))
-			}
-			o.CostByKernel[k] = costmodel.ObjectCost(c)
+		// The file keeps no first-touch order: the kernels load in name
+		// order, the order the file lists them in.
+		kernels := make([]string, 0, len(oj.CostByKernel))
+		for k := range oj.CostByKernel {
+			kernels = append(kernels, k)
+		}
+		sort.Strings(kernels)
+		for _, k := range kernels {
+			o.CostByKernel = append(o.CostByKernel, trace.KernelCost{Kernel: k, Cost: costmodel.ObjectCost(oj.CostByKernel[k])})
 		}
 		t.Objects = append(t.Objects, o)
 	}

@@ -103,6 +103,72 @@ func TestProfileRoundtrip(t *testing.T) {
 	}
 }
 
+// TestKernelCostsRoundtrip saves a profile in which two kernels touch one
+// object, the later one with the smaller name, and checks that the loaded
+// object carries each kernel's cost and that the re-analysis names the
+// same dominant kernel.
+func TestKernelCostsRoundtrip(t *testing.T) {
+	dev := gpu.NewDevice(gpu.SpecTest())
+	prof := core.Attach(dev, core.DefaultConfig())
+	a, _ := dev.Malloc(64 << 10)
+	prof.Annotate(a, "strided", 4)
+	// Strided reads waste most of each sector; k_zeta reads every 8th
+	// element, k_alpha every 16th of the first half.
+	read := func(name string, n, stride int) {
+		_ = dev.LaunchFunc(nil, name, gpu.Dim1(1), gpu.Dim1(32), func(ctx *gpu.ExecContext) {
+			for i := 0; i < n; i += stride {
+				_ = ctx.LoadU32(a + gpu.DevicePtr(4*i))
+			}
+		})
+	}
+	read("k_zeta", 16<<10, 8)
+	read("k_alpha", 8<<10, 16)
+	_ = dev.Free(a)
+	rep := prof.Finish()
+
+	var buf bytes.Buffer
+	if err := rep.SaveProfile(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rep2, err := core.AnalyzeProfile(bytes.NewReader(buf.Bytes()), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, got := rep.Trace.Objects[0], rep2.Trace.Objects[0]
+	if len(orig.CostByKernel) != 2 || orig.CostByKernel[0].Kernel != "k_zeta" {
+		t.Fatalf("live per-kernel costs %+v, want k_zeta then k_alpha", orig.CostByKernel)
+	}
+	if len(got.CostByKernel) != 2 {
+		t.Fatalf("loaded per-kernel costs %+v, want two kernels", got.CostByKernel)
+	}
+	for _, want := range orig.CostByKernel {
+		found := false
+		for _, kc := range got.CostByKernel {
+			if kc.Kernel == want.Kernel {
+				found = true
+				if kc.Cost != want.Cost {
+					t.Errorf("kernel %s: loaded cost %+v, live %+v", want.Kernel, kc.Cost, want.Cost)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("kernel %s lost in the saved profile", want.Kernel)
+		}
+	}
+	uc := func(r *core.Report) []string {
+		var ks []string
+		for _, f := range r.Findings {
+			if f.Pattern == pattern.UncoalescedAccess {
+				ks = append(ks, f.AtKernel)
+			}
+		}
+		return ks
+	}
+	if live, loaded := uc(rep), uc(rep2); len(live) != 1 || len(loaded) != 1 || live[0] != loaded[0] {
+		t.Errorf("uncoalesced-access kernels: live %v, loaded %v, want one and the same", live, loaded)
+	}
+}
+
 func TestReanalysisWithDifferentThresholds(t *testing.T) {
 	// A program with a 3-API idle gap: invisible at the default bar (4),
 	// reported when re-analyzed at 2 — without re-running the program.

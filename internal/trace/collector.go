@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"drgpum/internal/callpath"
-	"drgpum/internal/costmodel"
 	"drgpum/internal/gpu"
 	"drgpum/internal/obs"
 )
@@ -328,12 +327,7 @@ func (c *Collector) attributeCost(rec *gpu.APIRecord, objs []*Object) {
 			continue
 		}
 		o.Cost.Add(e.ObjectCost)
-		if o.CostByKernel == nil {
-			o.CostByKernel = make(map[string]costmodel.ObjectCost)
-		}
-		kc := o.CostByKernel[rec.Name]
-		kc.Add(e.ObjectCost)
-		o.CostByKernel[rec.Name] = kc
+		o.AddKernelCost(rec.Name, e.ObjectCost)
 	}
 }
 

@@ -75,10 +75,12 @@ type Object struct {
 	// retirement — so it survives streaming compaction, and its counters
 	// are commutative sums, so every profiling mode folds the same values.
 	Cost costmodel.ObjectCost
-	// CostByKernel splits Cost by kernel name, so the uncoalesced-access
-	// detector can attribute waste to the dominant kernel. Nil until the
-	// first costed kernel touch.
-	CostByKernel map[string]costmodel.ObjectCost
+	// CostByKernel splits Cost by kernel name, one entry per kernel in the
+	// order of their first costed touch, so the uncoalesced-access
+	// detector can attribute waste to the dominant kernel. An object sees
+	// few kernels, so a search of the slice finds a kernel's entry. Nil
+	// until the first costed kernel touch.
+	CostByKernel []KernelCost
 	// Pool marks objects allocated through a custom memory-pool API rather
 	// than a raw device allocation (paper §5.4).
 	Pool bool
@@ -110,6 +112,24 @@ func (o *Object) LastAccess() *AccessEvent {
 		return nil
 	}
 	return &o.Accesses[len(o.Accesses)-1]
+}
+
+// KernelCost is one kernel's share of an object's cost-model attribution.
+type KernelCost struct {
+	Kernel string
+	Cost   costmodel.ObjectCost
+}
+
+// AddKernelCost adds c to kernel's entry of CostByKernel, appending the
+// entry at the kernel's first costed touch.
+func (o *Object) AddKernelCost(kernel string, c costmodel.ObjectCost) {
+	for i := range o.CostByKernel {
+		if o.CostByKernel[i].Kernel == kernel {
+			o.CostByKernel[i].Cost.Add(c)
+			return
+		}
+	}
+	o.CostByKernel = append(o.CostByKernel, KernelCost{Kernel: kernel, Cost: c})
 }
 
 // ElemWidth returns ElemSize, or DefaultElemSize when it is 0: a saved
